@@ -123,10 +123,6 @@ def _bounds_check(n, size):
 def main():
     """Exact interpolation polynomials, their combinatorial expansions,
     and the verification suites tying the two together."""
-    try:
-        verify_mod.thread_cap()
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
 
 # ---------------------------------------------------------------------------

@@ -370,17 +370,6 @@ def signed_variants(mu):
     return sorted(out)
 
 
-def wt_alpha(alpha, n, ctx):
-    """Scalar weight of a sign pattern: x_i per positive part becomes a
-    variable factor elsewhere; here only the scalar part, -1/t^{n-1} per
-    negative part."""
-    c = ctx.one
-    for a in alpha:
-        if a < 0:
-            c = c * ctx.qt(0, -(n - 1), -1)
-    return c
-
-
 def flip_pair(alpha, i):
     """Negate entries i, i+1 (1-based i)."""
     out = list(alpha)

@@ -69,17 +69,6 @@ def shape_permute_star(f, nu, i):
     return hecke_T(f, i) + f * coeff, swap_pair(nu, i)
 
 
-def shape_permute(f, nu, i):
-    """Homogeneous counterpart of shape_permute_star (identical correction
-    constant)."""
-    a, b = nu[i - 1], nu[i]
-    if a <= b:
-        raise ValueError("shape_permute needs nu_i > nu_{i+1}")
-    ctx = f.ctx
-    coeff = ctx.binom(0, 1) / ctx.binom(a - b, r_stat(nu, i))
-    return hecke_T(f, i) + f * coeff, swap_pair(nu, i)
-
-
 # ---------------------------------------------------------------------------
 # transition table for the signed-index family
 # ---------------------------------------------------------------------------

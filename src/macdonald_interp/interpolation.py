@@ -2,20 +2,20 @@
 
 The nonsymmetric family indexed by compositions mu: the unique polynomial
 of degree <= |mu| with unit coefficient on x^mu vanishing at the spectral
-point of every other composition of size <= |mu|.  The symmetric family
-indexed by partitions works the same way in the monomial symmetric basis.
+point of every other composition of size <= |mu|.
 
 `solve_E_star` builds the whole nonsymmetric family up to a size bound by
 graded elimination: one seed per sorted type, obtained by subtracting
 already-built polynomials to kill one spectral point at a time, then the
 rest of the type class via the shape-permuting operators.  The dense
-fraction-free solver (`solve_E_star_dense`, `solve_square`) is kept as an
-independent route and for the symmetric family, whose partition-indexed
-systems stay small.
+fraction-free solver (`solve_E_star_dense`, `solve_square`) is kept only as
+the independent reference that the graded elimination is tested against.
 
 The ASEP-indexed family f* arises from the dominant interpolation
 polynomial by applying Hecke operators along the shortest permutation; its
-homogeneous top part is the ASEP polynomial.  Also here: the elementary
+homogeneous top part is the ASEP polynomial.  The symmetric family P*
+indexed by partitions is the orbit sum of f* over the rearrangements of
+the partition, so it comes from the same family.  Also here: the elementary
 interpolation products (0/1 types), the extended signed-index family, the
 hatted decomposition, the two-row recursion right-hand sides, and the q=1
 factorization checks.
@@ -43,8 +43,8 @@ from .compositions import (
     word_from_partition,
 )
 from .hecke import hat_transform, hecke_word, shape_permute_star, unpack_coeffs
-from .queues import F_star, a_coeff
-from .xpoly import XPoly, monomial_symmetric
+from .queues import F_star, Z_star, a_coeff
+from .xpoly import XPoly
 
 _memo = {}
 _families = {}
@@ -236,42 +236,26 @@ def E_star_own_value(mu, ctx):
 def solve_P_star(lam, n, ctx):
     """Symmetric interpolation polynomial in n variables: unit coefficient
     on the monomial symmetric function of lam, vanishing at the spectral
-    points of all other partitions of size at most |lam|."""
+    points of all other partitions of size at most |lam|.
+
+    Built as the orbit sum of the ASEP-indexed family over the
+    rearrangements of lam (the symmetrization identity)."""
     lam = tuple(lam) + (0,) * (n - len(lam))
     if not is_partition(lam):
         raise ValueError("index must be a partition")
+    if len(lam) > n:
+        raise ValueError("partition longer than variable count")
     key = ("P_star", lam, n, ctx.key())
     if key in _memo:
         return _memo[key]
-    d = sum(lam)
-    parts = [nu for nu in partitions_upto(d, n) if nu != lam]
-    basis = {nu: monomial_symmetric(n, ctx, nu) for nu in parts}
-    m_lam = monomial_symmetric(n, ctx, lam)
-    M = []
-    rhs = []
-    for kappa in parts:
-        M.append([_eval_as_ring(basis[nu], kappa, ctx) for nu in parts])
-        rhs.append(-_eval_as_ring(m_lam, kappa, ctx))
-    coeffs = solve_square(M, rhs, ctx) if parts else []
-    poly = m_lam
-    for nu, c in zip(parts, coeffs):
-        if not ctx.is_zero(c):
-            poly = poly + basis[nu] * c
+    poly = XPoly.zero(n, ctx)
+    for mu in arrangements(lam):
+        poly = poly + f_star(mu, ctx)
     _memo[key] = poly
     return poly
 
 
 P_star = solve_P_star
-
-
-def _eval_as_ring(poly, kappa, ctx):
-    """Evaluate a monomial-coefficient polynomial at a spectral point as a
-    ring element (sum of q,t monomials)."""
-    total = ctx.ring_zero
-    for e in poly.terms:
-        A, B = _point_monomial(kappa, e)
-        total = total + ctx.ring_qt(A, B)
-    return total
 
 
 def f_star(mu, ctx):
@@ -473,14 +457,10 @@ def support_sum_check(lam, S, ctx):
 def factorization_q1_check(lam, n, ctx):
     """At q = 1 (ctx must specialize q to 1), check that the symmetric
     interpolation polynomial factors into elementary ones over the
-    conjugate column heights.  The left side is assembled as the orbit sum
-    of the queue generating functions (the symmetrization identity), since
-    the q = 1 spectral points collide and the solver route is unavailable."""
-    full = tuple(sort_desc(lam)) + (0,) * (n - len(lam))
-    total = XPoly.zero(n, ctx)
-    for mu in arrangements(full):
-        total = total + F_star(mu, ctx)
-    return total == q1_symmetric_product(lam, n, ctx)
+    conjugate column heights.  The left side is the orbit sum of the queue
+    generating functions, whose weights stay regular at q = 1; the spectral
+    points collide there, so the solver route to P* is unavailable."""
+    return Z_star(sort_desc(lam), n, ctx) == q1_symmetric_product(lam, n, ctx)
 
 
 # ---------------------------------------------------------------------------

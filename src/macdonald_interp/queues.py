@@ -45,10 +45,6 @@ from .xpoly import XPoly
 _memo = {}
 
 
-def _clear_memo():
-    _memo.clear()
-
-
 # ---------------------------------------------------------------------------
 # row placement
 # ---------------------------------------------------------------------------

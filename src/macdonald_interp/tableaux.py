@@ -41,10 +41,6 @@ from .xpoly import XPoly
 _memo = {}
 
 
-def _clear_memo():
-    _memo.clear()
-
-
 # ---------------------------------------------------------------------------
 # diagrams and tableaux
 # ---------------------------------------------------------------------------

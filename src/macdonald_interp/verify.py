@@ -11,7 +11,6 @@ across runs with equal flags.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from .compositions import (
@@ -716,25 +715,3 @@ def report_lines(reports):
 
 def all_passed(reports):
     return all(r.ok for r in reports)
-
-
-def thread_cap():
-    """Validated worker cap from MACDONALD_INTERP_THREADS.
-
-    The variable is reserved: suites run single-threaded so report streams
-    stay byte-identical, but a malformed value is still rejected loudly.
-    """
-    raw = os.environ.get("MACDONALD_INTERP_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"MACDONALD_INTERP_THREADS must be a positive integer, "
-            f"got {raw!r}")
-    if value < 1:
-        raise ValueError(
-            f"MACDONALD_INTERP_THREADS must be a positive integer, "
-            f"got {raw!r}")
-    return value

@@ -344,10 +344,6 @@ class XPoly:
     __repr__ = __str__
 
 
-def from_monomial_dict(n, ctx, d):
-    return XPoly(n, ctx, dict(d))
-
-
 def monomial_symmetric(n, ctx, lam):
     """Monomial symmetric polynomial m_lam in n variables."""
     from .compositions import arrangements

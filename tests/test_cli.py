@@ -255,15 +255,6 @@ def test_render_rejects_bad_input(runner, tmp_path):
 # -- global flags --------------------------------------------------------------
 
 
-def test_threads_env_var_validated(runner):
-    ok = runner.invoke(cli.main, ["compute", "F*", "--mu", "0,0"],
-                       env={"MACDONALD_INTERP_THREADS": "4"})
-    assert ok.exit_code == 0
-    bad = runner.invoke(cli.main, ["compute", "F*", "--mu", "0,0"],
-                        env={"MACDONALD_INTERP_THREADS": "many"})
-    assert bad.exit_code == 2
-
-
 def test_out_flag_writes_exact_bytes(runner, tmp_path):
     path = tmp_path / "out.txt"
     to_stdout = invoke(runner, "compute", "f*", "--mu", "0,2")

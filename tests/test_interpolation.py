@@ -47,6 +47,7 @@ from macdonald_interp.scalars import (
     RatQT,
     SpecializedScalars,
     random_point,
+    specialized,
 )
 from macdonald_interp.xpoly import XPoly
 
@@ -307,15 +308,24 @@ def test_f_star_vanishes_off_the_orbit():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("lam,n", [((1,), 2), ((2,), 2), ((1, 1), 2), ((2, 1), 2),
-                                   ((1,), 3), ((2,), 3), ((1, 1), 3)])
-def test_P_star_characterization(lam, n):
-    ctx = sym()
+def _assert_P_star_characterized(lam, n, ctx):
     poly = P_star(lam, n, ctx)
     full = tuple(lam) + (0,) * (n - len(lam))
     assert poly.is_symmetric()
     assert poly.coefficient(full) == ctx.one
     assert symmetric_vanishing_violations(poly, lam, n, ctx) == []
+
+
+@pytest.mark.parametrize("lam,n", [((1,), 2), ((2,), 2), ((1, 1), 2), ((2, 1), 2),
+                                   ((1,), 3), ((2,), 3), ((1, 1), 3),
+                                   ((3,), 2), ((4,), 2), ((2, 2), 2),
+                                   ((2, 1), 3), ((3,), 3)])
+def test_P_star_characterization(lam, n):
+    _assert_P_star_characterized(lam, n, sym())
+
+
+def test_P_star_characterization_specialized():
+    _assert_P_star_characterized((2, 1, 1), 3, specialized(7, 4))
 
 
 @pytest.mark.parametrize("lam,n", [((1,), 2), ((2,), 2), ((1, 1), 2), ((2, 1), 2),

@@ -13,7 +13,6 @@ from macdonald_interp.verify import (
     run_suites,
     six_term_f_star_02,
     suite_names,
-    thread_cap,
 )
 
 
@@ -92,16 +91,3 @@ def test_seed_changes_specialized_modes():
     modes_a = {r.mode for r in a if r.mode != "symbolic"}
     modes_b = {r.mode for r in b if r.mode != "symbolic"}
     assert modes_a and modes_b and modes_a != modes_b
-
-
-def test_thread_cap_validates(monkeypatch):
-    monkeypatch.delenv("MACDONALD_INTERP_THREADS", raising=False)
-    assert thread_cap() is None
-    monkeypatch.setenv("MACDONALD_INTERP_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("MACDONALD_INTERP_THREADS", "zero")
-    with pytest.raises(ValueError):
-        thread_cap()
-    monkeypatch.setenv("MACDONALD_INTERP_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_cap()
