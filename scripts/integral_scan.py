@@ -7,7 +7,7 @@ whether the coefficient-integrality checks pass for the shape and for
 every type rearranging it.
 
 Example:
-    python3 scripts/integral_scan.py --max-n 3 --max-size 4
+    PYTHONPATH=src python3 scripts/integral_scan.py --max-n 3 --max-size 4
 """
 
 import argparse

@@ -7,7 +7,8 @@ splits by number of signed rows actually used, and the monomial support
 size of the resulting polynomial.  Optionally prints one sample queue.
 
 Example:
-    python3 scripts/queue_census.py --max-n 3 --max-size 3 --sample 0,2
+    PYTHONPATH=src python3 scripts/queue_census.py --max-n 3 --max-size 3 \\
+        --sample 0,2
 """
 
 import argparse

@@ -6,7 +6,8 @@ pushed through Hecke steps, (2) the signed-queue generating sum, and
 (3) the typed tableau sum, and confirm the three polynomials agree.
 
 Example:
-    python3 scripts/route_benchmark.py --max-n 3 --max-size 3 --mode symbolic
+    PYTHONPATH=src python3 scripts/route_benchmark.py --max-n 3 --max-size 3 \\
+        --mode symbolic
 """
 
 import argparse

@@ -8,7 +8,10 @@ Two coefficient domains share one interface:
   normalized by monomial content, integer content and denominator sign, and
   equality is decided by cross multiplication.  Sums of many combinatorial
   weights go through `rq_sum`, which keeps denominators factored into
-  binomials ``1 - q^a t^b`` so results stay compact.
+  binomials ``1 - q^a t^b`` so results stay compact.  Each distinct
+  denominator is factored once per process (`factor_binomials` memoizes
+  on its terms), and `RatQT.reduced` returns its input unchanged when no
+  factor of the denominator divides the numerator.
 * specialized -- plain exact rationals after substituting a fixed rational
   point (q0, t0) chosen to avoid all poles in range (see `random_point`).
 
@@ -21,10 +24,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # runs without gmpy2: same values, slower arithmetic
     from fractions import Fraction as QQ
 
 
@@ -225,8 +229,6 @@ class QTPoly:
         """Rational c with self/c integral and primitive, signed so that
         the trailing (graded-lex minimal) coefficient of self/c is positive.
         Keeps binomials in the form 1 - q^a t^b under normalization."""
-        from math import gcd, lcm
-
         nums = [int(c.numerator) for c in self.terms.values()]
         dens = [int(c.denominator) for c in self.terms.values()]
         g = 0
@@ -273,17 +275,28 @@ QT_ZERO = QTPoly()
 QT_ONE = QTPoly.const(1)
 
 
+# terms of a polynomial -> its factor_binomials result; one entry per
+# distinct denominator seen in this process.  Results are shared between
+# callers, which is safe because no code changes a QTPoly's terms in place.
+_factor_memo = {}
+
+
 def factor_binomials(p):
     """Split p into binomial factors and a residual.
 
-    Returns (factors, residual) where factors is a sorted list of
+    Returns (factors, residual) where factors is a sorted tuple of
     ((a, b, kind), multiplicity) with kind 0 meaning ``1 - q^a t^b`` and
     kind 1 meaning ``q^a - t^b``, and residual * prod(factors) == p up to
     the monomial/constant part kept inside residual.  Used to keep common
     denominators small; completeness is not required for correctness.
+    Results are memoized on the terms of p.
     """
     if not p.terms or len(p.terms) == 1:
-        return [], p
+        return (), p
+    key = frozenset(p.terms.items())
+    hit = _factor_memo.get(key)
+    if hit is not None:
+        return hit
     factors = {}
     cur = p
     # integer evaluation filter at (q,t)=(3,5): a true binomial factor must
@@ -294,9 +307,9 @@ def factor_binomials(p):
         mq, mt = prim.min_exps()
         xq, xt = prim.max_exps()
         span_q, span_t = xq - mq, xt - mt
-        val = int(prim.shift(-mq, -mt).substitute(3, 5))
         if span_q > 64 or span_t > 64:
             break
+        val = int(prim.shift(-mq, -mt).substitute(3, 5))
         found = None
         for a in range(span_q + 1):
             for b in range(span_t + 1):
@@ -321,9 +334,10 @@ def factor_binomials(p):
                 break
         if not found:
             break
-        key, cur = found
-        factors[key] = factors.get(key, 0) + 1
-    return sorted(factors.items()), cur
+        fkey, cur = found
+        factors[fkey] = factors.get(fkey, 0) + 1
+    result = _factor_memo[key] = (tuple(sorted(factors.items())), cur)
+    return result
 
 
 def binomial_from_key(key):
@@ -465,7 +479,9 @@ class RatQT:
     # -- reduction / evaluation --------------------------------------------
 
     def reduced(self):
-        """Cancel binomial and residual factors of den against num."""
+        """Cancel binomial and residual factors of den against num.
+
+        Returns self when nothing cancels."""
         if self.den.is_monomial():
             return self
         factors, resid = factor_binomials(self.den)
@@ -486,6 +502,8 @@ class RatQT:
             if q is not None:
                 num = q
                 resid = QT_ONE
+        if num is self.num:
+            return self
         den = resid
         for key, mult in new_factors:
             den = den * binomial_from_key(key) ** mult

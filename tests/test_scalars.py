@@ -136,11 +136,43 @@ def test_ratqt_division_and_pow():
 
 
 def test_ratqt_reduced_cancels():
-    num = QTPoly.binomial(1, 0) * QTPoly.binomial(2, 3)
-    den = QTPoly.binomial(1, 0) * QTPoly.binomial(0, 1)
-    r = RatQT(num, den).reduced()
-    assert r.den == QTPoly.binomial(0, 1)
-    assert r == RatQT(num, den)
+    cases = [
+        # a binomial factor of den cancels
+        (QTPoly.binomial(1, 0) * QTPoly.binomial(2, 3),
+         QTPoly.binomial(1, 0) * QTPoly.binomial(0, 1)),
+        # the residual 1 + q of den, which is no binomial, cancels
+        ((QT_ONE + qt(1, 0)) * QTPoly.binomial(1, 1),
+         (QT_ONE + qt(1, 0)) * QTPoly.binomial(0, 1)),
+    ]
+    for num, den in cases:
+        r = RatQT(num, den).reduced()
+        assert r.den == QTPoly.binomial(0, 1)
+        assert r == RatQT(num, den)
+
+
+def test_ratqt_reduced_returns_input_when_nothing_cancels():
+    r = RatQT(QTPoly.binomial(2, 0), QTPoly.binomial(0, 1))
+    assert r.reduced() is r
+
+
+def test_factor_binomials_memo(monkeypatch):
+    def build():
+        return QTPoly.binomial(3, 1) * QTPoly.binomial(1, 4) * qt(2, 0, 7)
+
+    first = factor_binomials(build())
+    calls = []
+    real_try_div = QTPoly.try_div
+
+    def counting_try_div(self, other):
+        calls.append(other)
+        return real_try_div(self, other)
+
+    monkeypatch.setattr(QTPoly, "try_div", counting_try_div)
+    second = factor_binomials(build())
+    assert calls == []
+    assert second[0] == first[0]
+    assert isinstance(second[0], tuple)
+    assert dict(second[0]) == {(1, 4, 0): 1, (3, 1, 0): 1}
 
 
 def test_pole_error():
