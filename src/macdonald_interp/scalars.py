@@ -2,16 +2,15 @@
 
 Two coefficient domains share one interface:
 
-* symbolic  -- elements of the rational function field Q(q, t), stored as
-  numerator/denominator pairs of sparse Laurent polynomials (`RatQT` over
-  `QTPoly`).  No multivariate gcd is ever computed: fractions are only
-  normalized by monomial content, integer content and denominator sign, and
-  equality is decided by cross multiplication.  Sums of many combinatorial
-  weights go through `rq_sum`, which keeps denominators factored into
-  binomials ``1 - q^a t^b`` so results stay compact.  Each distinct
-  denominator is factored once per process (`factor_binomials` memoizes
-  on its terms), and `RatQT.reduced` returns its input unchanged when no
-  factor of the denominator divides the numerator.
+* symbolic  -- elements of Q(q, t) (`RatQT`): a Laurent polynomial (`QTPoly`)
+  over a product of cyclotomic factors Phi_d(q^a t^b), kept as a sorted
+  tuple of factors with multiplicities, with no listed factor dividing the
+  numerator.  The form is canonical: equal values hash equal and print the
+  same text.  Products add the factor maps, sums (`rq_sum`) use their
+  pointwise maximum, and only dividing by a polynomial factors it
+  (`factor_binomials`, once per distinct divisor).  A divisor that does not
+  split leaves an opaque factor, counted in `opaque_divisors`; only values
+  with one compare by cross multiplication.
 * specialized -- plain exact rationals after substituting a fixed rational
   point (q0, t0) chosen to avoid all poles in range (see `random_point`).
 
@@ -24,7 +23,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from math import gcd
 
 try:
     from gmpy2 import mpq as QQ
@@ -89,17 +89,8 @@ class QTPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
-
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def min_exps(self):
         return (min(e[0] for e in self.terms), min(e[1] for e in self.terms))
-
-    def max_exps(self):
-        return (max(e[0] for e in self.terms), max(e[1] for e in self.terms))
 
     def leading(self):
         """(exponent, coeff) of the graded-lex leading term."""
@@ -225,22 +216,6 @@ class QTPoly:
             total += c * QQ(q0) ** eq * QQ(t0) ** et
         return total
 
-    def content(self):
-        """Rational c with self/c integral and primitive, signed so that
-        the trailing (graded-lex minimal) coefficient of self/c is positive.
-        Keeps binomials in the form 1 - q^a t^b under normalization."""
-        nums = [int(c.numerator) for c in self.terms.values()]
-        dens = [int(c.denominator) for c in self.terms.values()]
-        g = 0
-        for v in nums:
-            g = gcd(g, v)
-        l = 1
-        for v in dens:
-            l = lcm(l, v)
-        c = QQ(g, l)
-        trail = self.terms[min(self.terms, key=_gl_key)]
-        return -c if trail < 0 else c
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
@@ -275,6 +250,95 @@ QT_ZERO = QTPoly()
 QT_ONE = QTPoly.const(1)
 
 
+# ---------------------------------------------------------------------------
+# cyclotomic factors Phi_d(q^a t^b), keyed (a, b, d)
+# ---------------------------------------------------------------------------
+
+
+def _div_series(r, phi):
+    """Quotient of the coefficient list r by phi (constant terms first,
+    phi[0] == 1), or None when phi does not divide r."""
+    n = len(r) - len(phi) + 1
+    r = list(r)
+    for i in range(max(n, 0)):
+        if r[i]:
+            for j in range(1, len(phi)):
+                r[i + j] -= r[i] * phi[j]
+    return None if n <= 0 or any(r[n:]) else r[:n]
+
+
+@cache
+def _cyclotomic(d):
+    """Coefficients of Phi_d, constant term first; Phi_1 is written 1 - x,
+    so that every factor has constant term 1."""
+    poly = (1,) + (0,) * (d - 1) + (-1,)  # 1 - x^d, the product over e | d
+    for e in range(1, d):
+        if d % e == 0:
+            poly = _div_series(poly, _cyclotomic(e))
+    return tuple(poly)
+
+
+@cache
+def _orders(length):
+    """Every d with phi(d) <= length; phi(d) >= sqrt(d/2) bounds the scan."""
+    return tuple(d for d in range(1, 2 * length * length + 1)
+                 if sum(gcd(k, d) == 1 for k in range(d)) <= length)
+
+
+@cache
+def _factor_poly(key):
+    """The factor of a key: Phi_d(q^a t^b), or for an opaque key
+    (0, 0, terms) the polynomial with those terms."""
+    a, b, d = key
+    if not (a or b):
+        return QTPoly(dict(d))
+    return QTPoly({(k * a, k * b): QQ(c)
+                   for k, c in enumerate(_cyclotomic(d)) if c})
+
+
+@cache
+def _expand(factors):
+    """The product of a factor tuple, as one polynomial."""
+    out = QT_ONE
+    for key, mult in factors:
+        out = out * _factor_poly(key) ** mult
+    return out
+
+
+@cache
+def _den_form(factors):
+    """(den, dq, dt, sign) with prod(factors) = sign * q^dq t^dt * den, den
+    free of monomial factors with positive graded-lex trailing coefficient."""
+    den = _expand(factors)
+    dq, dt = den.min_exps()
+    sign = -1 if den.terms[min(den.terms, key=_gl_key)] < 0 else 1
+    return den.shift(-dq, -dt) * sign, dq, dt, sign
+
+
+def _divide(p, key):
+    """p divided by the factor of key, or None when it does not divide.
+
+    Phi_d(q^a t^b) lies on one line of direction (a, b), so the division
+    splits into one univariate division per line of terms of p."""
+    a, b, d = key
+    if not (a or b):
+        return p.try_div(_factor_poly(key))
+    lines = {}
+    for (eq, et), c in p.terms.items():
+        k = eq // a if a else et
+        lines.setdefault((eq - k * a, et - k * b), {})[k] = c
+    out = QTPoly()
+    for (bq, bt), line in lines.items():
+        lo = min(line)
+        quot = _div_series([line.get(k, 0) for k in range(lo, max(line) + 1)],
+                           _cyclotomic(d))
+        if quot is None:
+            return None
+        out.terms.update(((bq + i * a, bt + i * b), c)
+                         for i, c in enumerate(quot, lo) if c)
+    return out
+
+
 # terms of a polynomial -> its factor_binomials result; one entry per
 # distinct denominator seen in this process.  Results are shared between
 # callers, which is safe because no code changes a QTPoly's terms in place.
@@ -282,13 +346,13 @@ _factor_memo = {}
 
 
 def factor_binomials(p):
-    """Split p into binomial factors and a residual.
+    """Split p into cyclotomic factors and a residual.
 
-    Returns (factors, residual) where factors is a sorted tuple of
-    ((a, b, kind), multiplicity) with kind 0 meaning ``1 - q^a t^b`` and
-    kind 1 meaning ``q^a - t^b``, and residual * prod(factors) == p up to
-    the monomial/constant part kept inside residual.  Used to keep common
-    denominators small; completeness is not required for correctness.
+    Returns (factors, residual) with p = residual * prod(factors), factors
+    a sorted tuple of ((a, b, d), multiplicity).  If Phi_d(q^a t^b) divides
+    p, the terms of p on the line of direction (a, b) through its least
+    exponent reach at least phi(d) steps, so only those (a, b, d) are tried.
+    The residual is a monomial unless p has a factor that is not cyclotomic.
     Results are memoized on the terms of p.
     """
     if not p.terms or len(p.terms) == 1:
@@ -297,92 +361,90 @@ def factor_binomials(p):
     hit = _factor_memo.get(key)
     if hit is not None:
         return hit
+    q0, t0 = min(p.terms)
+    reach = {}
+    for eq, et in p.terms:
+        g = gcd(eq - q0, et - t0)
+        if g:  # the direction is (a, b) with a > 0 or a = 0 < b
+            ab = ((eq - q0) // g, (et - t0) // g)
+            reach[ab] = max(reach.get(ab, 0), g)
     factors = {}
-    cur = p
-    # integer evaluation filter at (q,t)=(3,5): a true binomial factor must
-    # divide the integer value of the primitive part.
-    while len(cur.terms) > 1 and len(cur.terms) <= 400:
-        cont = cur.content()
-        prim = cur * (QQ(1) / cont)
-        mq, mt = prim.min_exps()
-        xq, xt = prim.max_exps()
-        span_q, span_t = xq - mq, xt - mt
-        if span_q > 64 or span_t > 64:
-            break
-        val = int(prim.shift(-mq, -mt).substitute(3, 5))
-        found = None
-        for a in range(span_q + 1):
-            for b in range(span_t + 1):
-                if a == 0 and b == 0:
-                    continue
-                # kind 0: 1 - q^a t^b
-                w = 1 - 3**a * 5**b
-                if val % w == 0:
-                    q0 = cur.try_div(QTPoly.binomial(a, b))
-                    if q0 is not None:
-                        found = ((a, b, 0), q0)
-                        break
-                # kind 1: q^a - t^b (only when both exponents positive)
-                if a > 0 and b > 0:
-                    w = 3**a - 5**b
-                    if w != 0 and val % w == 0:
-                        q1 = cur.try_div(QTPoly({(a, 0): QQ(1), (0, b): QQ(-1)}))
-                        if q1 is not None:
-                            found = ((a, b, 1), q1)
-                            break
-            if found:
-                break
-        if not found:
-            break
-        fkey, cur = found
-        factors[fkey] = factors.get(fkey, 0) + 1
-    result = _factor_memo[key] = (tuple(sorted(factors.items())), cur)
+    for (a, b), length in reach.items():
+        for d in _orders(length):
+            while (quot := _divide(p, (a, b, d))) is not None:
+                p = quot
+                factors[(a, b, d)] = factors.get((a, b, d), 0) + 1
+    result = _factor_memo[key] = (tuple(sorted(factors.items())), p)
     return result
 
 
-def binomial_from_key(key):
-    a, b, kind = key
-    if kind == 0:
-        return QTPoly.binomial(a, b)
-    return QTPoly({(a, 0): QQ(1), (0, b): QQ(-1)})
+# Divisions by a polynomial that did not split into cyclotomic factors and
+# a monomial: each one left an opaque factor in a denominator.
+opaque_divisors = 0
+
+
+def _reciprocal(p):
+    """1/p for a QTPoly p, with p factored by factor_binomials."""
+    global opaque_divisors
+    if not p.terms:
+        raise ZeroDivisionError("division by zero in Q(q,t)")
+    factors, resid = factor_binomials(p)
+    if len(resid.terms) > 1:
+        opaque_divisors += 1
+        factors = tuple(sorted(
+            factors + (((0, 0, tuple(sorted(resid.terms.items()))), 1),)))
+        resid = QT_ONE
+    ((eq, et), c), = resid.terms.items()
+    return _raw(QTPoly.monomial(-eq, -et, QQ(1) / c), factors)
+
+
+def _cancel(num, factors):
+    """Divide num by each listed factor as often as it divides, at most its
+    multiplicity; returns (num, the factors left over)."""
+    if not factors or len(num.terms) < 2:
+        return num, factors
+    left = []
+    for key, mult in factors:
+        while mult and (quot := _divide(num, key)) is not None:
+            num, mult = quot, mult - 1
+        if mult:
+            left.append((key, mult))
+    return num, tuple(left)
+
+
+def _merge(f, g):
+    """The factors of a product: multiplicities add."""
+    out = dict(f)
+    for key, mult in g:
+        out[key] = out.get(key, 0) + mult
+    return tuple(sorted(out.items())) if f and g else f or g
+
+
+def _raw(num, factors):
+    """num / prod(factors) as a RatQT, for num free of the factors."""
+    if not num.terms:
+        return RAT_ZERO
+    r = RatQT.__new__(RatQT)
+    r.num, r.factors = num, factors
+    return r
 
 
 class RatQT:
-    """Element of Q(q, t) as a numerator/denominator pair.
+    """Element of Q(q, t): num / prod Phi_d(q^a t^b)^m over the sorted
+    tuple `factors` of ((a, b, d), m), (a, b) primitive with a > 0 or
+    a = 0 < b, and no listed factor dividing num.  An opaque factor
+    (0, 0, terms) is a divisor that did not split."""
 
-    Normalization: no monomial factor common to num and den, denominator has
-    integer coefficients with content 1 and positive graded-lex leading
-    coefficient.  Equality is cross multiplication; no multivariate gcd.
-    """
-
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "factors")
 
     def __init__(self, num, den=None):
-        if den is None:
-            den = QT_ONE
         if isinstance(num, int):
             num = QTPoly.const(num)
-        if isinstance(den, int):
-            den = QTPoly.const(den)
-        if not den.terms:
-            raise ZeroDivisionError("zero denominator in Q(q,t)")
-        if not num.terms:
-            self.num, self.den = QT_ZERO, QT_ONE
-            return
-        nq, nt = num.min_exps()
-        dq, dt = den.min_exps()
-        sq, st = min(nq, dq), min(nt, dt)
-        if sq or st:
-            num = num.shift(-sq, -st)
-            den = den.shift(-sq, -st)
-        c = den.content()
-        if c != 1:
-            inv = QQ(1) / c
-            num = num * inv
-            den = den * inv
-        self.num, self.den = num, den
-
-    # -- constructors ------------------------------------------------------
+        self.num, self.factors = num, ()
+        if den is not None:
+            r = self * _reciprocal(
+                QTPoly.const(den) if isinstance(den, int) else den)
+            self.num, self.factors = r.num, r.factors
 
     @staticmethod
     def from_qq(c):
@@ -392,7 +454,12 @@ class RatQT:
     def qt(a, b, c=1):
         return RatQT(QTPoly.monomial(a, b, c))
 
-    # -- predicates / hashing ----------------------------------------------
+    @property
+    def den(self):
+        return _expand(self.factors)
+
+    def _opaque(self):  # opaque keys sort first
+        return bool(self.factors) and self.factors[0][0][:2] == (0, 0)
 
     def __bool__(self):
         return bool(self.num.terms)
@@ -402,11 +469,15 @@ class RatQT:
             other = RatQT.from_qq(other)
         if not isinstance(other, RatQT):
             return NotImplemented
-        if self.den == other.den:
+        if self.factors == other.factors:
             return self.num == other.num
-        return self.num * other.den == other.num * self.den
+        if self._opaque() or other._opaque():
+            return self.num * other.den == other.num * self.den
+        return False
 
-    __hash__ = None  # fractions are not canonical; do not use as dict keys
+    def __hash__(self):
+        # a value with an opaque factor equals no value without one
+        return hash(0 if self._opaque() else (self.num, self.factors))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -415,23 +486,16 @@ class RatQT:
             other = RatQT.from_qq(other)
         if not isinstance(other, RatQT):
             return NotImplemented
-        if not other:
-            return self
-        if not self:
-            return other
-        if self.den == other.den:
-            return RatQT(self.num + other.num, self.den)
-        if self.den.is_monomial() and other.den.is_monomial():
-            return RatQT(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
+        if not (self and other):
+            return self or other
+        if self.factors == other.factors:
+            return _raw(self.num + other.num, self.factors).reduced()
         return rq_sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = RatQT.__new__(RatQT)
-        r.num, r.den = -self.num, self.den
-        return r
+        return _raw(-self.num, self.factors)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -443,71 +507,41 @@ class RatQT:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return RAT_ZERO
             other = RatQT.from_qq(other)
         if not isinstance(other, RatQT):
             return NotImplemented
-        if self.den.is_monomial() and other.den.is_monomial():
-            return RatQT(self.num * other.num, self.den * other.den)
-        # cross-cancel before multiplying so reduced inputs stay reduced
-        a = RatQT(self.num, other.den).reduced()
-        b = RatQT(other.num, self.den).reduced()
-        return RatQT(a.num * b.num, a.den * b.den)
+        a, rest_other = _cancel(self.num, other.factors)
+        b, rest_self = _cancel(other.num, self.factors)
+        return _raw(a * b, _merge(rest_self, rest_other))
 
     __rmul__ = __mul__
+
+    def inverse(self):
+        """1/self; ZeroDivisionError for zero."""
+        r = _reciprocal(self.num)
+        return _raw(r.num * self.den, r.factors) if self.factors else r
 
     def __truediv__(self, other):
         if isinstance(other, int):
             other = RatQT.from_qq(other)
-        if not other:
-            raise ZeroDivisionError("division by zero in Q(q,t)")
-        return self * RatQT(other.den, other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        if isinstance(other, int):
-            other = RatQT.from_qq(other)
-        return other / self
+        return RatQT.from_qq(other) / self
 
     def __pow__(self, k):
-        if k == 0:
-            return RAT_ONE
         if k < 0:
-            return (RAT_ONE / self) ** (-k)
-        return RatQT(self.num ** k, self.den ** k)
+            return self.inverse() ** -k
+        return _raw(self.num ** k,
+                    tuple((key, mult * k) for key, mult in self.factors if k))
 
     # -- reduction / evaluation --------------------------------------------
 
     def reduced(self):
-        """Cancel binomial and residual factors of den against num.
-
-        Returns self when nothing cancels."""
-        if self.den.is_monomial():
-            return self
-        factors, resid = factor_binomials(self.den)
-        num = self.num
-        new_factors = []
-        for key, mult in factors:
-            b = binomial_from_key(key)
-            while mult:
-                q = num.try_div(b)
-                if q is None:
-                    break
-                num = q
-                mult -= 1
-            if mult:
-                new_factors.append((key, mult))
-        if not resid.is_monomial():
-            q = num.try_div(resid)
-            if q is not None:
-                num = q
-                resid = QT_ONE
-        if num is self.num:
-            return self
-        den = resid
-        for key, mult in new_factors:
-            den = den * binomial_from_key(key) ** mult
-        return RatQT(num, den)
+        """Cancel the listed factors that divide the numerator, as a sum
+        may produce.  Returns self when nothing cancels."""
+        num, factors = _cancel(self.num, self.factors)
+        return self if num is self.num else _raw(num, factors)
 
     def evaluate(self, q0, t0):
         d = self.den.substitute(q0, t0)
@@ -516,14 +550,22 @@ class RatQT:
         return self.num.substitute(q0, t0) / d
 
     def __str__(self):
-        if self.den == QT_ONE:
-            return str(self.num)
-        ns = str(self.num)
-        if len(self.num.terms) > 1:
-            ns = f"({ns})"
-        ds = str(self.den)
-        if len(self.den.terms) > 1:
-            ds = f"({ds})"
+        """num/den over polynomials in q, t with no common monomial factor,
+        den with positive graded-lex trailing coefficient."""
+        num = self.num
+        if not num.terms:
+            return "0"
+        (nq, nt), (den, dq, dt, sign) = num.min_exps(), _den_form(self.factors)
+        a, b = nq - dq, nt - dt
+        if max(a, 0) != nq or max(b, 0) != nt:
+            num = num.shift(max(a, 0) - nq, max(b, 0) - nt)
+        if a < 0 or b < 0:
+            den = den.shift(max(-a, 0), max(-b, 0))
+        num = -num if sign < 0 else num
+        if den == QT_ONE:
+            return str(num)
+        ns = str(num) if len(num.terms) == 1 else f"({num})"
+        ds = str(den) if len(den.terms) == 1 else f"({den})"
         return f"{ns}/{ds}"
 
     __repr__ = __str__
@@ -534,60 +576,27 @@ RAT_ONE = RatQT(QT_ONE)
 
 
 def rq_sum(items):
-    """Sum RatQT values, grouping by denominator and combining over a
-    factored common denominator."""
+    """Sum RatQT values: numerators add per factor tuple, then over the
+    common denominator, the pointwise maximum of the factor maps."""
     groups = {}
-    dens = {}
     for r in items:
-        if not r:
-            continue
-        key = frozenset(r.den.terms.items())
-        if key in groups:
-            groups[key] = groups[key] + r.num
-        else:
-            groups[key] = r.num
-            dens[key] = r.den
-    if not groups:
-        return RAT_ZERO
-    if len(groups) == 1:
-        ((key, num),) = groups.items()
-        return RatQT(num, dens[key])
-    # factored common denominator
-    facs = {}
-    resid = {}
-    for key, den in dens.items():
-        fs, res = factor_binomials(den)
-        resid[key] = res
-        facs[key] = dict(fs)
-    lcd_f = {}
-    for fs in facs.values():
-        for fkey, mult in fs.items():
-            lcd_f[fkey] = max(lcd_f.get(fkey, 0), mult)
-    # residuals are expected to be monomials; otherwise fall back to a raw
-    # cross-multiplied combination (not ``+``, which routes back here).
-    if any(not r.is_monomial() for r in resid.values()):
-        num_acc, den_acc = QT_ZERO, QT_ONE
-        for key, num in sorted(groups.items(), key=lambda kv: sorted(kv[0])):
-            num_acc = num_acc * dens[key] + num * den_acc
-            den_acc = den_acc * dens[key]
-        return RatQT(num_acc, den_acc).reduced()
-    num_total = QT_ZERO
-    lcd = QT_ONE
-    for fkey, mult in sorted(lcd_f.items()):
-        lcd = lcd * binomial_from_key(fkey) ** mult
-    for key in groups:
-        cofactor = QT_ONE
-        fs = facs[key]
-        for fkey, mult in sorted(lcd_f.items()):
-            extra = mult - fs.get(fkey, 0)
-            if extra:
-                cofactor = cofactor * binomial_from_key(fkey) ** extra
-        # divide away the monomial residual of this group's denominator
-        res = resid[key]
-        (re, rc), = res.terms.items()
-        cofactor = cofactor.shift(-re[0], -re[1]) * (QQ(1) / rc)
-        num_total = num_total + groups[key] * cofactor
-    return RatQT(num_total, lcd).reduced()
+        if r:
+            fs = r.factors
+            groups[fs] = groups[fs] + r.num if fs in groups else r.num
+    lcd = {}
+    for fs in groups:
+        for key, mult in fs:
+            lcd[key] = max(lcd.get(key, 0), mult)
+    lcd = tuple(sorted(lcd.items()))
+    total = QT_ZERO
+    for fs, num in groups.items():
+        if fs != lcd:
+            have = dict(fs)
+            num = num * _expand(tuple((key, mult - have.get(key, 0))
+                                      for key, mult in lcd
+                                      if mult > have.get(key, 0)))
+        total = total + num
+    return _raw(total, lcd).reduced()
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +625,7 @@ class SymbolicScalars:
 
     def binom(self, a, b):
         """1 - q^a t^b (exact, a or b may be negative)."""
-        if a >= 0 and b >= 0:
-            return RatQT(QTPoly.binomial(a, b))
-        return self.one - self.qt(a, b)
+        return RatQT(QTPoly.binomial(a, b))
 
     def from_qq(self, c):
         return RatQT.from_qq(c)
@@ -643,7 +650,7 @@ class SymbolicScalars:
         return not a.terms
 
     def ring_to_scalar(self, num, den):
-        return RatQT(num, den).reduced()
+        return RatQT(num, den)
 
     def __repr__(self):
         return "SymbolicScalars()"

@@ -653,9 +653,8 @@ def integral_tableaux_sum(lam, n, ctx):
 
 def _lies_in_zqt(r):
     """True when a symbolic scalar is a polynomial in q, t over the
-    integers: unit denominator, no negative exponents, integer entries."""
-    r = r.reduced()
-    if list(r.den.terms.items()) != [((0, 0), 1)]:
+    integers: no denominator factor, no negative exponents, integer entries."""
+    if r.factors:
         return False
     return all(
         eq >= 0 and et >= 0 and c.denominator == 1

@@ -171,13 +171,6 @@ class XPoly:
             k >>= 1
         return result
 
-    def shift_all(self, d):
-        """Multiply by (x_1 ... x_n)^d (d may be negative)."""
-        r = XPoly.__new__(XPoly)
-        r.n, r.ctx = self.n, self.ctx
-        r.terms = {tuple(v + d for v in e): c for e, c in self.terms.items()}
-        return r
-
     # -- symmetric group action ---------------------------------------------
 
     def swap(self, i):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from macdonald_interp import interpolation, scalars
 from macdonald_interp.compositions import (
     arrangements,
     compositions_of,
@@ -479,3 +480,15 @@ def test_hom_recursion_positive_types():
     ctx = sym()
     for mu in [(2, 0), (0, 2), (2, 1), (0, 1)]:
         assert extended_f_via_tops(mu, ctx) == f_hom(mu, ctx)
+
+
+def test_symbolic_families_take_no_opaque_path(monkeypatch):
+    """Every divisor met while building the symbolic families splits into
+    cyclotomic factors: no opaque denominator factor is made."""
+    monkeypatch.setattr(interpolation, "_families", {})
+    before = scalars.opaque_divisors
+    E_star((4, 0), SYMBOLIC)
+    E_star((3, 0, 0), SYMBOLIC)
+    assert interpolation._families[(2, SYMBOLIC.key())].size == 4
+    assert interpolation._families[(3, SYMBOLIC.key())].size == 3
+    assert scalars.opaque_divisors == before

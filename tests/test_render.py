@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from macdonald_interp.interpolation import f_star
-from macdonald_interp.queues import enumerate_mlq, enumerate_smlq
+from macdonald_interp.interpolation import f_star, solve_P_star
+from macdonald_interp.queues import (
+    F_star, Z_star, enumerate_mlq, enumerate_smlq)
 from macdonald_interp.render import (
     coeff_table_json,
     dumps,
@@ -20,8 +21,9 @@ from macdonald_interp.render import (
     tableau_svg,
     tableau_text,
 )
-from macdonald_interp.scalars import SYMBOLIC
-from macdonald_interp.tableaux import enumerate_tableaux, tab
+from macdonald_interp.scalars import SYMBOLIC, QTPoly, RatQT
+from macdonald_interp.tableaux import (
+    enumerate_tableaux, tab, tableaux_sum_typed)
 from macdonald_interp.verify import figure_queue
 
 
@@ -106,3 +108,22 @@ def test_scalar_and_table_json():
 def test_dumps_is_deterministic():
     Q = figure_queue()
     assert dumps(queue_json(Q)) == dumps(queue_json(figure_queue()))
+
+
+def test_equal_values_print_equal_bytes():
+    """Routes that compute the same polynomial print the same text."""
+    pairs = [
+        (solve_P_star((2, 2), 2, SYMBOLIC), Z_star((2, 2), 2, SYMBOLIC)),
+        (f_star((2, 1), SYMBOLIC), F_star((2, 1), SYMBOLIC)),
+        (tableaux_sum_typed((3, 0), SYMBOLIC), F_star((3, 0), SYMBOLIC)),
+    ]
+    for a, b in pairs:
+        assert a == b
+        assert poly_text(a) == poly_text(b)
+    # equal scalars reached by different arithmetic hash equal
+    one_minus_t = QTPoly.binomial(0, 1)
+    x = RatQT(QTPoly.binomial(2, 2), QTPoly.binomial(1, 1) * one_minus_t)
+    y = (RatQT(1, one_minus_t) + RatQT(QTPoly.monomial(1, 1), one_minus_t))
+    assert x == y and hash(x) == hash(y)
+    assert {x: "value"}[y] == "value"
+    assert len({x, y, x * 1, y + 0}) == 1

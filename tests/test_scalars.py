@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macdonald_interp import scalars
 from macdonald_interp.scalars import (
     QQ,
     QT_ONE,
@@ -71,29 +72,33 @@ def test_exact_div_property(a, b, c, d):
 
 
 def test_factor_binomials_full_split():
-    p = QTPoly.binomial(1, 0) * QTPoly.binomial(1, 2) ** 2 * qt(0, -3, 4)
+    p = (QTPoly.binomial(1, 0) * QTPoly.binomial(2, 4) ** 2
+         * QTPoly.binomial(3, 3) * qt(0, -3, 4))
     factors, resid = factor_binomials(p)
-    assert dict(factors) == {(1, 0, 0): 1, (1, 2, 0): 2}
-    assert resid.is_monomial()
-    rebuilt = resid
-    from macdonald_interp.scalars import binomial_from_key
-
-    for key, mult in factors:
-        rebuilt = rebuilt * binomial_from_key(key) ** mult
+    # 1 - q^2 t^4 = Phi_1(q t^2) Phi_2(q t^2)
+    # 1 - q^3 t^3 = Phi_1(qt) Phi_3(qt)
+    assert factors == (((1, 0, 1), 1), ((1, 1, 1), 1), ((1, 1, 3), 1),
+                       ((1, 2, 1), 2), ((1, 2, 2), 2))
+    assert resid == qt(0, -3, 4)
+    qt_1 = qt(1, 1)
+    rebuilt = (resid * QTPoly.binomial(1, 0)
+               * (QTPoly.binomial(1, 2) * (QT_ONE + qt(1, 2))) ** 2
+               * QTPoly.binomial(1, 1) * (QT_ONE + qt_1 + qt_1 * qt_1))
     assert rebuilt == p
 
 
 def test_factor_binomials_qa_minus_tb():
-    p = qt(1, 0) - qt(0, 1)  # q - t
+    # q - t = -t (1 - q t^-1): Phi_1 in direction (1, -1)
+    p = qt(1, 0) - qt(0, 1)
+    assert factor_binomials(p) == ((((1, -1, 1), 1),), qt(0, 1, -1))
     factors, resid = factor_binomials(p * QTPoly.binomial(1, 1))
-    keys = dict(factors)
-    assert (1, 1, 1) in keys and (1, 1, 0) in keys
-    assert resid.is_monomial()
+    assert factors == (((1, -1, 1), 1), ((1, 1, 1), 1))
+    assert resid == qt(0, 1, -1)
 
 
 def test_ratqt_normalization():
     r = RatQT(qt(2, 1, 6), qt(1, 1, 4))
-    # common monomial removed, denominator scaled to content 1
+    # a monomial denominator moves into the Laurent numerator
     assert r.den == QT_ONE
     assert r.num == qt(1, 0, QQ(3, 2))
 
@@ -140,7 +145,7 @@ def test_ratqt_reduced_cancels():
         # a binomial factor of den cancels
         (QTPoly.binomial(1, 0) * QTPoly.binomial(2, 3),
          QTPoly.binomial(1, 0) * QTPoly.binomial(0, 1)),
-        # the residual 1 + q of den, which is no binomial, cancels
+        # the factor 1 + q = Phi_2(q) of den, which is no binomial, cancels
         ((QT_ONE + qt(1, 0)) * QTPoly.binomial(1, 1),
          (QT_ONE + qt(1, 0)) * QTPoly.binomial(0, 1)),
     ]
@@ -157,22 +162,42 @@ def test_ratqt_reduced_returns_input_when_nothing_cancels():
 
 def test_factor_binomials_memo(monkeypatch):
     def build():
-        return QTPoly.binomial(3, 1) * QTPoly.binomial(1, 4) * qt(2, 0, 7)
+        return QTPoly.binomial(3, 1) * QTPoly.binomial(2, 8) * qt(2, 0, 7)
 
     first = factor_binomials(build())
     calls = []
-    real_try_div = QTPoly.try_div
+    real_divide = scalars._divide
 
-    def counting_try_div(self, other):
-        calls.append(other)
-        return real_try_div(self, other)
+    def counting_divide(*args):
+        calls.append(args)
+        return real_divide(*args)
 
-    monkeypatch.setattr(QTPoly, "try_div", counting_try_div)
+    monkeypatch.setattr(scalars, "_divide", counting_divide)
     second = factor_binomials(build())
     assert calls == []
-    assert second[0] == first[0]
-    assert isinstance(second[0], tuple)
-    assert dict(second[0]) == {(1, 4, 0): 1, (3, 1, 0): 1}
+    assert second is first
+    assert second[0] == (((1, 4, 1), 1), ((1, 4, 2), 1), ((3, 1, 1), 1))
+
+
+def test_sum_over_one_minus_q2t2_splits_into_cyclotomic_factors():
+    before = scalars.opaque_divisors
+    s = (RatQT(QT_ONE, QTPoly.binomial(2, 2))
+         + RatQT(QT_ONE, QTPoly.binomial(1, 1)))
+    # 1/(1 - q^2 t^2) + 1/(1 - qt) = (2 + qt) / (Phi_1(qt) Phi_2(qt))
+    assert s.factors == (((1, 1, 1), 1), ((1, 1, 2), 1))
+    assert s.num == QTPoly.const(2) + qt(1, 1)
+    assert scalars.opaque_divisors == before
+
+
+def test_opaque_divisor_is_counted_and_cancels():
+    before = scalars.opaque_divisors
+    d = QTPoly.binomial(1, 1) + qt(1, 0)  # 1 - qt + q
+    r = RatQT(QTPoly.binomial(1, 0), d * QTPoly.binomial(1, 0))
+    assert scalars.opaque_divisors == before + 1
+    assert r.factors == (((0, 0, tuple(sorted(d.terms.items()))), 1),)
+    assert r * RatQT(d) == 1
+    assert r == RatQT(QT_ONE, d)
+    assert hash(r) == hash(RatQT(QT_ONE, d))
 
 
 def test_pole_error():
