@@ -37,6 +37,7 @@ from .queues import (
     g_coeff,
     signed_layer_weight,
     signed_matchings,
+    signed_sits,
 )
 from .render import (
     coeff_table_json,
@@ -327,7 +328,9 @@ def _dispatch_enumerate(kind, n, mu, lam, type_, ctx):
         if len(top) != len(bottom):
             raise click.UsageError("--type and --mu must have equal length")
         if signed:
-            matchings = _guarded_signed_matchings(top, bottom)
+            matchings = (
+                list(signed_matchings(top, bottom))
+                if signed_sits(top, bottom) else [])
 
             def weigh(m):
                 return signed_layer_weight(top, bottom, m, ctx)
@@ -351,15 +354,6 @@ def _dispatch_enumerate(kind, n, mu, lam, type_, ctx):
                     + (" ".join(f"{j}->{k}" for j, k in pairs) or "(none)"))
             items.append((obj, text, scalar_json(w), str(w)))
     return items
-
-
-def _guarded_signed_matchings(alpha, mu):
-    for c, v in enumerate(alpha):
-        if v > 0 and mu[c] < v:
-            return []
-        if v < 0 and not (mu[c] == 0 or mu[c] <= -v):
-            return []
-    return list(signed_matchings(alpha, mu))
 
 
 # ---------------------------------------------------------------------------

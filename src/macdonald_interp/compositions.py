@@ -29,9 +29,6 @@ def absolute(alpha):
     """Entrywise absolute value of a signed composition."""
     return tuple(abs(a) for a in alpha)
 
-def weight(mu):
-    return sum(mu)
-
 def minus_one(mu):
     """Decrement every positive part: (mu_i - 1)+ entrywise."""
     return tuple(max(m - 1, 0) for m in mu)
@@ -48,10 +45,6 @@ def is_packed(mu):
         elif seen_zero:
             return False
     return True
-
-def pack(mu):
-    """Add 1 to every nonzero part (inverse of ``minus_one`` on supports)."""
-    return tuple(m + 1 if m > 0 else 0 for m in mu)
 
 
 def compositions_of(d, n):
@@ -156,8 +149,8 @@ def comp_lt(kappa, nu):
     arrangements are maximal within an orbit.
     """
     ks, ns = sort_desc(kappa), sort_desc(nu)
-    if weight(kappa) != weight(nu):
-        return weight(kappa) < weight(nu)
+    if sum(kappa) != sum(nu):
+        return sum(kappa) < sum(nu)
     if ks != ns:
         return _dominance_lt_eq(ks, ns)
     if kappa == nu:
@@ -174,31 +167,6 @@ def comp_lt(kappa, nu):
 # ---------------------------------------------------------------------------
 # symmetric group plumbing
 # ---------------------------------------------------------------------------
-
-
-def perm_act(sigma, mu):
-    """sigma acting on positions: result_i = mu_{sigma^{-1}(i)}.
-
-    sigma is one-line notation as a tuple of 1-based values.
-    """
-    n = len(sigma)
-    inv = [0] * n
-    for i, v in enumerate(sigma):
-        inv[v - 1] = i
-    return tuple(mu[inv[i]] for i in range(n))
-
-
-def perm_inverse(sigma):
-    n = len(sigma)
-    inv = [0] * n
-    for i, v in enumerate(sigma):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
-def perm_compose(sigma, tau):
-    """(sigma tau)(i) = sigma(tau(i))."""
-    return tuple(sigma[t - 1] for t in tau)
 
 
 def shortest_perm(lam, mu):
@@ -249,20 +217,6 @@ def word_from_partition(lam, mu):
     return reduced_word(shortest_perm(lam, mu))
 
 
-def apply_word_to_comp(lam, word):
-    cur = list(lam)
-    for i in word:
-        cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    return tuple(cur)
-
-
-def perm_length(sigma):
-    n = len(sigma)
-    return sum(
-        1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j]
-    )
-
-
 # ---------------------------------------------------------------------------
 # precedence (dominance-with-matching) order
 # ---------------------------------------------------------------------------
@@ -298,18 +252,6 @@ def precedes(mu, nu):
         if not augment(i, [False] * n):
             return False
     return True
-
-
-def precedes_brute(mu, nu):
-    """Reference implementation of ``precedes`` by trying all pi."""
-    n = len(mu)
-    for pi in iter_permutations(range(n)):
-        if all(
-            mu[i] <= nu[pi[i]] and (mu[i] < nu[pi[i]] or i <= pi[i])
-            for i in range(n)
-        ):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

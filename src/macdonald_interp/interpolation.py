@@ -7,9 +7,10 @@ point of every other composition of size <= |mu|.
 `solve_E_star` builds the whole nonsymmetric family up to a size bound by
 graded elimination: one seed per sorted type, obtained by subtracting
 already-built polynomials to kill one spectral point at a time, then the
-rest of the type class via the shape-permuting operators.  The dense
-fraction-free solver (`solve_E_star_dense`, `solve_square`) is kept only as
-the independent reference that the graded elimination is tested against.
+rest of the type class via the shape-permuting operators.  `solve_square`
+is a dense fraction-free solver over the context's scalars; the tests pose
+the vanishing conditions to it as one square system, the independent
+reference that the graded elimination is checked against.
 
 The ASEP-indexed family f* arises from the dominant interpolation
 polynomial by applying Hecke operators along the shortest permutation; its
@@ -31,7 +32,6 @@ from .compositions import (
     conjugate,
     is_packed,
     is_partition,
-    k_stat,
     minus_one,
     partitions_of,
     partitions_upto,
@@ -60,17 +60,18 @@ class SingularSystemError(ArithmeticError):
 
 
 def solve_square(M, rhs, ctx):
-    """Exact solve of M x = rhs by fraction-free Gauss-Jordan elimination.
+    """Exact solve of M x = rhs by fraction-free Gauss-Jordan elimination
+    over the context's scalars.
 
-    Entries are ring elements (polynomials in q, t or rationals); every
-    division is exact, and the returned scalars all share the final pivot
-    as denominator.
+    When the entries are Laurent polynomials in q, t, every division by the
+    previous pivot is exact, so the intermediate entries stay polynomials;
+    the returned scalars all share the final pivot as denominator.
     """
     m = len(M)
     A = [list(row) + [rhs[i]] for i, row in enumerate(M)]
-    prev = ctx.ring_one
+    prev = ctx.one
     for k in range(m):
-        piv = next((r for r in range(k, m) if not ctx.ring_is_zero(A[r][k])), None)
+        piv = next((r for r in range(k, m) if not ctx.is_zero(A[r][k])), None)
         if piv is None:
             raise SingularSystemError("singular linear system")
         if piv != k:
@@ -84,47 +85,15 @@ def solve_square(M, rhs, ctx):
             row_i = A[i]
             # Every off-pivot entry is rescaled by p/prev (exactly), so all
             # diagonals end up equal to the last pivot.
-            if ctx.ring_is_zero(aik):
+            if ctx.is_zero(aik):
                 for j in range(m + 1):
-                    if not ctx.ring_is_zero(row_i[j]):
-                        row_i[j] = ctx.ring_div(p * row_i[j], prev)
+                    if not ctx.is_zero(row_i[j]):
+                        row_i[j] = p * row_i[j] / prev
             else:
                 for j in range(m + 1):
-                    row_i[j] = ctx.ring_div(p * row_i[j] - aik * row_k[j], prev)
+                    row_i[j] = (p * row_i[j] - aik * row_k[j]) / prev
         prev = p
-    return [ctx.ring_to_scalar(A[i][m], A[i][i]) for i in range(m)]
-
-
-def _point_monomial(kappa, exps):
-    """Exponents (A, B) with (spectral point of kappa)^exps = q^A t^B."""
-    ks = k_stat(kappa)
-    A = sum(k * e for k, e in zip(kappa, exps))
-    B = -sum(k * e for k, e in zip(ks, exps))
-    return A, B
-
-
-def solve_E_star_dense(mu, ctx):
-    """Nonsymmetric interpolation polynomial via one dense linear solve
-    over the full monomial basis of degree <= |mu|."""
-    mu = tuple(mu)
-    n, d = len(mu), sum(mu)
-    others = [nu for nu in compositions_upto(d, n) if nu != mu]
-    M = []
-    rhs = []
-    for kappa in others:
-        row = []
-        for nu in others:
-            A, B = _point_monomial(kappa, nu)
-            row.append(ctx.ring_qt(A, B))
-        M.append(row)
-        A, B = _point_monomial(kappa, mu)
-        rhs.append(ctx.ring_qt(A, B, -1))
-    coeffs = solve_square(M, rhs, ctx) if others else []
-    terms = {mu: ctx.one}
-    for nu, c in zip(others, coeffs):
-        if not ctx.is_zero(c):
-            terms[nu] = c
-    return XPoly(n, ctx, terms)
+    return [A[i][m] / A[i][i] for i in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -269,29 +238,6 @@ def f_star(mu, ctx):
     poly = hecke_word(solve_E_star(lam, ctx), word_from_partition(lam, mu))
     _memo[key] = poly
     return poly
-
-
-def E_star_via_permute(mu, ctx):
-    """Same polynomial as solve_E_star, built by one shape-permuting chain
-    from the dominant rearrangement."""
-    mu = tuple(mu)
-    lam = sort_desc(mu)
-    poly = solve_E_star(lam, ctx)
-    nu = lam
-    for i in word_from_partition(lam, mu):
-        poly, nu = shape_permute_star(poly, nu, i)
-    if nu != mu:
-        raise AssertionError(f"permutation chain landed on {nu}, wanted {mu}")
-    return poly
-
-
-def E_hom(mu, ctx):
-    """Homogeneous (top-degree) part of the nonsymmetric family."""
-    return solve_E_star(mu, ctx).top_part()
-
-
-def P_hom(lam, n, ctx):
-    return solve_P_star(lam, n, ctx).top_part()
 
 
 def f_hom(mu, ctx):
@@ -510,22 +456,6 @@ def _two_row_tops(mu):
     big = tuple(v for v in mu if v >= 2)
     pad = big + (0,) * (len(mu) - len(big))
     return arrangements(pad)
-
-
-def extended_f_via_tops(alpha, ctx):
-    """Same family through the two-row coefficients: the sign-weight
-    monomial times the a-weighted sum of homogeneous polynomials of the
-    decremented tops."""
-    alpha = tuple(alpha)
-    mu = absolute(alpha)
-    n = len(mu)
-    total = XPoly.zero(n, ctx)
-    for nu in _two_row_tops(mu):
-        coeff = a_coeff(nu, mu, ctx)
-        if ctx.is_zero(coeff):
-            continue
-        total = total + f_hom(minus_one(nu), ctx) * coeff
-    return wt_sign_monomial(alpha, ctx) * total
 
 
 def h_poly(alpha, ctx):

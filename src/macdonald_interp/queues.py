@@ -92,6 +92,14 @@ def signed_sign_options(col_label, lower_val):
     return opts
 
 
+def signed_sits(alpha, lower):
+    """Every signed ball of alpha sits over lower by the primed rules."""
+    for v, w in zip(alpha, lower):
+        if v and (1 if v > 0 else -1) not in signed_sign_options(abs(v), w):
+            return False
+    return True
+
+
 def classic_row_arrangements(values, lower, n, row_filter=None):
     for arr in multiset_placements(values, n):
         if classic_sits(arr, lower) and (row_filter is None or row_filter(arr)):
@@ -540,10 +548,6 @@ def Z_hom(lam, n, ctx):
     return total
 
 
-def smlq_count(mu):
-    return sum(1 for _ in enumerate_smlq(mu))
-
-
 # ---------------------------------------------------------------------------
 # two-row transition coefficients
 # ---------------------------------------------------------------------------
@@ -577,11 +581,8 @@ def g_coeff(alpha, mu, ctx):
     """
     if sort_desc([abs(v) for v in alpha if v]) != sort_desc([v for v in mu if v]):
         return ctx.zero
-    for c, v in enumerate(alpha):
-        if v > 0 and mu[c] < v:
-            return ctx.zero
-        if v < 0 and not (mu[c] == 0 or mu[c] <= -v):
-            return ctx.zero
+    if not signed_sits(alpha, mu):
+        return ctx.zero
     vals = [
         signed_layer_weight(alpha, mu, m, ctx)
         for m in signed_matchings(alpha, mu)

@@ -16,7 +16,9 @@ Two coefficient domains share one interface:
 
 Everything downstream (polynomials in x, queue weights, solvers) is generic
 over these two domains via the `SymbolicScalars` / `SpecializedScalars`
-context objects.
+context objects.  A context supplies the constants and constructors (`one`,
+`zero`, `qt`, `binom`, `from_qq`), `sum` and `is_zero`; all other arithmetic
+is the scalars' own `+`, `-`, `*` and `/`.
 """
 
 from __future__ import annotations
@@ -91,11 +93,6 @@ class QTPoly:
 
     def min_exps(self):
         return (min(e[0] for e in self.terms), min(e[1] for e in self.terms))
-
-    def leading(self):
-        """(exponent, coeff) of the graded-lex leading term."""
-        e = max(self.terms, key=_gl_key)
-        return e, self.terms[e]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -543,6 +540,13 @@ class RatQT:
         num, factors = _cancel(self.num, self.factors)
         return self if num is self.num else _raw(num, factors)
 
+    def in_zqt(self):
+        """True when self lies in Z[q, t]: no denominator factor, no
+        negative exponent, integer coefficients."""
+        return not self.factors and all(
+            eq >= 0 and et >= 0 and c.denominator == 1
+            for (eq, et), c in self.num.terms.items())
+
     def evaluate(self, q0, t0):
         d = self.den.substitute(q0, t0)
         if d == 0:
@@ -636,22 +640,6 @@ class SymbolicScalars:
     def is_zero(self, c):
         return not c
 
-    # ring-level hooks used by the fraction-free solver
-    def ring_qt(self, a, b, c=1):
-        return QTPoly.monomial(a, b, c)
-
-    ring_one = QT_ONE
-    ring_zero = QT_ZERO
-
-    def ring_div(self, a, b):
-        return a.exact_div(b)
-
-    def ring_is_zero(self, a):
-        return not a.terms
-
-    def ring_to_scalar(self, num, den):
-        return RatQT(num, den)
-
     def __repr__(self):
         return "SymbolicScalars()"
 
@@ -693,26 +681,6 @@ class SpecializedScalars:
 
     def is_zero(self, c):
         return c == 0
-
-    def ring_qt(self, a, b, c=1):
-        return self.qt(a, b, c)
-
-    @property
-    def ring_one(self):
-        return QQ(1)
-
-    @property
-    def ring_zero(self):
-        return QQ(0)
-
-    def ring_div(self, a, b):
-        return a / b
-
-    def ring_is_zero(self, a):
-        return a == 0
-
-    def ring_to_scalar(self, num, den):
-        return num / den
 
     def __repr__(self):
         return f"SpecializedScalars(q0={self.q0}, t0={self.t0})"

@@ -211,10 +211,6 @@ def attack_violations(t):
     return out
 
 
-def is_queue_tableau(t):
-    return not filling_violations(t) and not attack_violations(t)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -353,24 +349,6 @@ def tab_inverse(t):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableauStats:
-    """Aggregate and per-box statistics of a tableau.
-
-    maj sums (leg+1) over classic boxes whose entry wraps (exceeds the
-    absolute entry below); coinv counts coinversion triples; negative
-    counts unrestricted negative boxes; empty counts label gaps under
-    primed entries.  leg and arm list ((column, level), value) per box.
-    """
-
-    maj: int
-    coinv: int
-    negative: int
-    empty: int
-    leg: tuple
-    arm: tuple
-
-
 def leg(t, c, idx):
     """Classic boxes strictly above (c, idx) in its column."""
     return t.diagram.lam[c] - (idx // 2 + 1)
@@ -468,18 +446,6 @@ def empty_count(t):
     return total
 
 
-def tableau_stats(t):
-    boxes = t.diagram.boxes()
-    return TableauStats(
-        maj=maj(t),
-        coinv=coinv(t),
-        negative=negative_count(t),
-        empty=empty_count(t),
-        leg=tuple(((c, idx), leg(t, c, idx)) for c, idx in boxes),
-        arm=tuple(((c, idx), arm(t, c, idx)) for c, idx in boxes),
-    )
-
-
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
@@ -526,7 +492,7 @@ def tableau_monomial(t, ctx):
 
 
 def tableau_term(t, ctx):
-    return tableau_monomial(t, ctx).scale(tableau_weight(t, ctx))
+    return tableau_monomial(t, ctx) * tableau_weight(t, ctx)
 
 
 def tableaux_sum_typed(mu, ctx):
@@ -599,7 +565,7 @@ def classical_hook(lam, ctx):
 
 def J_star(lam, n, ctx):
     """The hook-scaled symmetric interpolation polynomial."""
-    return solve_P_star(lam, n, ctx).scale(hook_product(lam, n, ctx))
+    return solve_P_star(lam, n, ctx) * hook_product(lam, n, ctx)
 
 
 def integral_weight(t, ctx):
@@ -629,7 +595,7 @@ def integral_weight(t, ctx):
 
 
 def integral_term(t, ctx):
-    return tableau_monomial(t, ctx).scale(integral_weight(t, ctx))
+    return tableau_monomial(t, ctx) * integral_weight(t, ctx)
 
 
 def integral_tableaux_sum_typed(mu, ctx):
@@ -651,17 +617,6 @@ def integral_tableaux_sum(lam, n, ctx):
 # ---------------------------------------------------------------------------
 
 
-def _lies_in_zqt(r):
-    """True when a symbolic scalar is a polynomial in q, t over the
-    integers: no denominator factor, no negative exponents, integer entries."""
-    if r.factors:
-        return False
-    return all(
-        eq >= 0 and et >= 0 and c.denominator == 1
-        for (eq, et), c in r.num.terms.items()
-    )
-
-
 def _cleared_coefficients(poly, size, n, ctx):
     """Scale each coefficient of poly by the t-power matching its degree
     drop below `size`, yielding (exponents, scaled coefficient)."""
@@ -678,7 +633,7 @@ def integrality_check(lam, n, ctx):
     J = J_star(lam, n, ctx)
     size = sum(lam)
     return all(
-        _lies_in_zqt(c) for _, c in _cleared_coefficients(J, size, n, ctx)
+        c.in_zqt() for _, c in _cleared_coefficients(J, size, n, ctx)
     )
 
 
@@ -688,8 +643,8 @@ def integrality_check_asep(mu, ctx):
     if not ctx.is_symbolic:
         raise ValueError("integrality is a symbolic-mode check")
     n = len(mu)
-    g = f_star(mu, ctx).scale(hook_product(sort_desc(mu), n, ctx))
+    g = f_star(mu, ctx) * hook_product(sort_desc(mu), n, ctx)
     size = sum(mu)
     return all(
-        _lies_in_zqt(c) for _, c in _cleared_coefficients(g, size, n, ctx)
+        c.in_zqt() for _, c in _cleared_coefficients(g, size, n, ctx)
     )

@@ -81,10 +81,6 @@ class XPoly:
         return XPoly(self.n, self.ctx,
                      {e: c for e, c in self.terms.items() if sum(e) == d})
 
-    def homogeneous_part(self, d):
-        return XPoly(self.n, self.ctx,
-                     {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def map_coeff(self, f):
         return XPoly(self.n, self.ctx, {e: f(e, c) for e, c in self.terms.items()})
 
@@ -156,9 +152,6 @@ class XPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, c):
-        return self * c
-
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
@@ -170,36 +163,6 @@ class XPoly:
             base = base * base
             k >>= 1
         return result
-
-    # -- symmetric group action ---------------------------------------------
-
-    def swap(self, i):
-        """Exchange x_i and x_{i+1} (1-based i)."""
-        out = {}
-        for e, c in self.terms.items():
-            k = list(e)
-            k[i - 1], k[i] = k[i], k[i - 1]
-            out[tuple(k)] = c
-        r = XPoly.__new__(XPoly)
-        r.n, r.ctx, r.terms = self.n, self.ctx, out
-        return r
-
-    def permute(self, sigma):
-        """Relabel x_j -> x_{sigma(j)}: the result at exponent sigma(e) has
-        the coefficient of e."""
-        out = {}
-        n = self.n
-        for e, c in self.terms.items():
-            k = [0] * n
-            for j in range(n):
-                k[sigma[j] - 1] = e[j]
-            out[tuple(k)] = c
-        r = XPoly.__new__(XPoly)
-        r.n, r.ctx, r.terms = self.n, self.ctx, out
-        return r
-
-    def is_symmetric(self):
-        return all(self.swap(i) == self for i in range(1, self.n))
 
     # -- divided difference & friends ----------------------------------------
 
@@ -275,22 +238,6 @@ class XPoly:
             vals.append(v)
         return ctx.sum(vals)
 
-    def substitute_var(self, i, value):
-        """Replace x_i by a scalar value."""
-        ctx = self.ctx
-        i0 = i - 1
-        out = {}
-        for e, c in self.terms.items():
-            v = c * value ** e[i0] if e[i0] else c
-            k = e[:i0] + (0,) + e[i0 + 1:]
-            if k in out:
-                v = out[k] + v
-                if ctx.is_zero(v):
-                    del out[k]
-                    continue
-            out[k] = v
-        return XPoly(self.n, ctx, out)
-
     def scale_vars(self, c):
         """x_j -> c * x_j for every j (c a scalar)."""
         return XPoly(self.n, self.ctx,
@@ -336,12 +283,3 @@ class XPoly:
 
     __repr__ = __str__
 
-
-def monomial_symmetric(n, ctx, lam):
-    """Monomial symmetric polynomial m_lam in n variables."""
-    from .compositions import arrangements
-
-    lam = tuple(lam) + (0,) * (n - len(lam))
-    if len(lam) > n:
-        raise ValueError("partition longer than variable count")
-    return XPoly(n, ctx, {e: ctx.one for e in arrangements(lam)})

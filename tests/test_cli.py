@@ -149,6 +149,14 @@ def test_enumerate_twoline_kinds(runner):
     assert "pairs:" in signed.output.splitlines()[0]
 
 
+def test_enumerate_signed_twoline_checks_sitting_rules(runner):
+    # matchings exist (2 lies over a 2), but +2 sits over a 1 in column 1
+    result = invoke(runner, "enumerate", "signed-twoline", "--mu", "1,2",
+                    "--type", "2,0")
+    assert result.exit_code == 0
+    assert result.output == "count: 0\n"
+
+
 def test_enumerate_mlq(runner):
     result = invoke(runner, "enumerate", "mlq", "--mu", "0,2,1")
     assert result.exit_code == 0

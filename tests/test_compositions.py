@@ -3,7 +3,6 @@ from hypothesis import strategies as st
 
 from macdonald_interp.compositions import (
     absolute,
-    apply_word_to_comp,
     arrangements,
     comp_lt,
     compositions_of,
@@ -14,15 +13,9 @@ from macdonald_interp.compositions import (
     is_partition,
     k_stat,
     minus_one,
-    pack,
     partitions_of,
     partitions_upto,
-    perm_act,
-    perm_compose,
-    perm_inverse,
-    perm_length,
     precedes,
-    precedes_brute,
     r_stat,
     reduced_word,
     shortest_perm,
@@ -34,6 +27,8 @@ from macdonald_interp.compositions import (
     word_from_partition,
 )
 from macdonald_interp.scalars import SYMBOLIC, RatQT
+
+from oracles import apply_word_to_comp, perm_act, perm_length, precedes_brute
 
 comps = st.lists(st.integers(0, 4), min_size=1, max_size=5).map(tuple)
 
@@ -58,7 +53,7 @@ def test_tilde_point_example():
 def test_tilde_points_distinct():
     seen = {}
     for mu in compositions_upto(4, 3):
-        key = tuple((c.num.leading()[0]) for c in tilde_point(mu, SYMBOLIC))
+        key = tuple(tuple(c.num.terms) for c in tilde_point(mu, SYMBOLIC))
         assert key not in seen, (mu, seen[key])
         seen[key] = mu
 
@@ -74,7 +69,6 @@ def test_basic_shape_helpers():
     assert sort_desc((0, 3, 1)) == (3, 1, 0)
     assert is_partition((3, 3, 1, 0)) and not is_partition((1, 2))
     assert minus_one((3, 0, 1)) == (2, 0, 0)
-    assert pack((2, 0, 1)) == (3, 0, 2)
     assert is_packed((2, 1, 0)) and is_packed((3, 1)) and is_packed((0, 0))
     assert not is_packed((2, 0, 3)) and not is_packed((0, 1))
     assert support((0, 2, 0, 1)) == frozenset({1, 3})
@@ -124,8 +118,6 @@ def test_perm_act_and_inverse():
     sigma = (2, 4, 1, 5, 3)
     lam = (4, 4, 3, 3, 1)
     assert perm_act(sigma, lam) == (3, 4, 1, 4, 3)
-    assert perm_act(perm_inverse(sigma), perm_act(sigma, lam)) == lam
-    assert perm_compose(sigma, perm_inverse(sigma)) == (1, 2, 3, 4, 5)
 
 
 def test_shortest_perm_example():

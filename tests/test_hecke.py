@@ -14,7 +14,9 @@ from macdonald_interp.hecke import (
     unpack_coeffs,
 )
 from macdonald_interp.scalars import QQ, SYMBOLIC, SpecializedScalars, random_point
-from macdonald_interp.xpoly import XPoly, monomial_symmetric
+from macdonald_interp.xpoly import XPoly
+
+from oracles import monomial_symmetric
 
 SPEC = SpecializedScalars(QQ(2, 5), QQ(3, 7))
 

@@ -13,10 +13,11 @@ from macdonald_interp.queues import (
     g_coeff,
     multiset_placements,
     signed_matchings,
-    smlq_count,
 )
 from macdonald_interp.scalars import QQ, SYMBOLIC, SpecializedScalars, random_point
 from macdonald_interp.xpoly import XPoly
+
+from oracles import is_symmetric
 
 
 def sym_x(i, n=2):
@@ -63,7 +64,7 @@ def test_classic_sits():
 
 
 def test_smlq_count_02():
-    assert smlq_count((0, 2)) == 15
+    assert sum(1 for _ in enumerate_smlq((0, 2))) == 15
 
 
 def test_f_star_02_matches_golden():
@@ -102,9 +103,9 @@ def test_leading_coefficient_is_one():
 
 def test_orbit_sums_are_symmetric():
     zs = Z_star((2, 1), 3, SYMBOLIC)
-    assert zs.is_symmetric()
+    assert is_symmetric(zs)
     zh = Z_hom((2, 1), 3, SYMBOLIC)
-    assert zh.is_symmetric()
+    assert is_symmetric(zh)
     assert zs.top_part() == zh
 
 

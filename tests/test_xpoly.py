@@ -3,7 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macdonald_interp.scalars import QQ, SYMBOLIC, RatQT, SpecializedScalars, random_point
-from macdonald_interp.xpoly import XPoly, monomial_symmetric
+from macdonald_interp.xpoly import XPoly
+
+from oracles import is_symmetric, monomial_symmetric, swap
 
 SPEC = SpecializedScalars(QQ(2, 3), QQ(5, 7))
 
@@ -25,23 +27,19 @@ def test_degree_and_parts():
     p = x1 * x1 * x2 + x2 + 1
     assert p.degree() == 3
     assert p.top_part() == x1 * x1 * x2
-    assert p.homogeneous_part(1) == x2
     assert XPoly.zero(3, SPEC).degree() == -1
 
 
 def test_swap_and_permute():
     x1, x2, x3 = xv(1), xv(2), xv(3)
     p = x1 * x1 * x2 + x3
-    assert p.swap(1) == x2 * x2 * x1 + x3
-    # sigma = (2,3,1): x1->x2, x2->x3, x3->x1
-    assert p.permute((2, 3, 1)) == x2 * x2 * x3 + x1
-    assert p.permute((1, 2, 3)) == p
+    assert swap(p, 1) == x2 * x2 * x1 + x3
 
 
 def test_is_symmetric():
     m = monomial_symmetric(3, SPEC, (2, 1))
-    assert m.is_symmetric()
-    assert not (m + xv(1)).is_symmetric()
+    assert is_symmetric(m)
+    assert not is_symmetric(m + xv(1))
     assert len(m.terms) == 6
 
 
@@ -65,7 +63,7 @@ def test_delta_matches_quotient_definition():
     p = x1 ** 3 * x3 + 2 * x2 * x2 + x1
     i = 1
     lhs = p.delta(i) * (x1 - x2)
-    assert lhs == p - p.swap(i)
+    assert lhs == p - swap(p, i)
 
 
 def test_delta_laurent():
@@ -84,7 +82,7 @@ def test_delta_property(terms, i):
     for c, a, b, d in terms:
         p = p + XPoly.monomial(3, SPEC, (a - 1, b, d), SPEC.from_qq(c))
     lhs = p.delta(i) * (xv(i) - xv(i + 1))
-    assert lhs == p - p.swap(i)
+    assert lhs == p - swap(p, i)
 
 
 def test_divide_by_linear():
@@ -101,8 +99,6 @@ def test_evaluate_and_substitute():
     p = x1 * x2 + x2 ** 2
     v = p.evaluate((QQ(1), QQ(2), QQ(0)))
     assert v == 2 + 4
-    q = p.substitute_var(2, QQ(3))
-    assert q == 3 * x1 + 9
 
 
 def test_scale_vars():
