@@ -10,7 +10,6 @@ words), and the dominance-style precedence order on compositions.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import permutations as iter_permutations
 
 

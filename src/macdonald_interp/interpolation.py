@@ -24,6 +24,8 @@ factorization checks.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .compositions import (
     absolute,
     arrangements,
@@ -45,9 +47,6 @@ from .compositions import (
 from .hecke import hat_transform, hecke_word, shape_permute_star, unpack_coeffs
 from .queues import F_star, Z_star, a_coeff
 from .xpoly import XPoly
-
-_memo = {}
-_families = {}
 
 
 class SingularSystemError(ArithmeticError):
@@ -175,11 +174,14 @@ class _Family:
             self.size = s
 
 
+@cache
+def _family_of(n, ctx):
+    """The one family of this process for n variables over ctx."""
+    return _Family(n, ctx)
+
+
 def _family(n, ctx, d):
-    key = (n, ctx.key())
-    fam = _families.get(key)
-    if fam is None:
-        fam = _families[key] = _Family(n, ctx)
+    fam = _family_of(n, ctx)
     fam.extend(d)
     return fam
 
@@ -202,6 +204,7 @@ def E_star_own_value(mu, ctx):
     return _family(len(mu), ctx, sum(mu)).own[mu]
 
 
+@cache
 def solve_P_star(lam, n, ctx):
     """Symmetric interpolation polynomial in n variables: unit coefficient
     on the monomial symmetric function of lam, vanishing at the spectral
@@ -214,30 +217,21 @@ def solve_P_star(lam, n, ctx):
         raise ValueError("index must be a partition")
     if len(lam) > n:
         raise ValueError("partition longer than variable count")
-    key = ("P_star", lam, n, ctx.key())
-    if key in _memo:
-        return _memo[key]
     poly = XPoly.zero(n, ctx)
     for mu in arrangements(lam):
         poly = poly + f_star(mu, ctx)
-    _memo[key] = poly
     return poly
 
 
 P_star = solve_P_star
 
 
+@cache
 def f_star(mu, ctx):
     """ASEP-indexed interpolation polynomial: Hecke word applied to the
     dominant one."""
-    mu = tuple(mu)
-    key = ("f_star", mu, ctx.key())
-    if key in _memo:
-        return _memo[key]
     lam = sort_desc(mu)
-    poly = hecke_word(solve_E_star(lam, ctx), word_from_partition(lam, mu))
-    _memo[key] = poly
-    return poly
+    return hecke_word(solve_E_star(lam, ctx), word_from_partition(lam, mu))
 
 
 def f_hom(mu, ctx):
@@ -458,14 +452,11 @@ def _two_row_tops(mu):
     return arrangements(pad)
 
 
+@cache
 def h_poly(alpha, ctx):
     """Signed-index interpolation building block: the sign-weight monomial
     times the a-weighted sum of hatted polynomials of the decremented
     tops."""
-    alpha = tuple(alpha)
-    key = ("h_poly", alpha, ctx.key())
-    if key in _memo:
-        return _memo[key]
     mu = absolute(alpha)
     n = len(mu)
     total = XPoly.zero(n, ctx)
@@ -475,9 +466,7 @@ def h_poly(alpha, ctx):
             continue
         numi = minus_one(nu)
         total = total + hat_transform(f_star(numi, ctx), d=sum(numi)) * coeff
-    poly = wt_sign_monomial(alpha, ctx) * total
-    _memo[key] = poly
-    return poly
+    return wt_sign_monomial(alpha, ctx) * total
 
 
 def general_decomposition_rhs(mu, ctx):

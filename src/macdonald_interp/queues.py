@@ -37,12 +37,11 @@ Two-row specializations give scalar transition coefficients: `a_coeff`
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 
-from .compositions import absolute, arrangements, sort_desc
+from .compositions import arrangements, sort_desc
 from .xpoly import XPoly
-
-_memo = {}
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +99,13 @@ def signed_sits(alpha, lower):
     return True
 
 
-def classic_row_arrangements(values, lower, n, row_filter=None):
+def classic_row_arrangements(values, lower, n):
     for arr in multiset_placements(values, n):
-        if classic_sits(arr, lower) and (row_filter is None or row_filter(arr)):
+        if classic_sits(arr, lower):
             yield arr
 
 
-def signed_row_arrangements(values, lower, n, row_filter=None):
+def signed_row_arrangements(values, lower, n):
     """Signed placements of `values` over a classic row, per the primed
     sitting rules."""
     for arr in multiset_placements(values, n):
@@ -125,9 +124,7 @@ def signed_row_arrangements(values, lower, n, row_filter=None):
 
         def rec(k, row):
             if k == len(options):
-                out = tuple(row)
-                if row_filter is None or row_filter(out):
-                    yield out
+                yield tuple(row)
                 return
             c, v, opts = options[k]
             for s in opts:
@@ -445,12 +442,8 @@ class Queue:
         return XPoly(self.n, ctx, {exps: scal})
 
 
-def enumerate_smlq(mu, row_filter=None):
-    """All signed queues of type mu.
-
-    row_filter(idx, arr), when given, prunes candidate rows (1-based row
-    content as stored, idx the 0-based row index).
-    """
+def enumerate_smlq(mu):
+    """All signed queues of type mu."""
     n = len(mu)
     contents = row_multisets(sort_desc(mu))
     depth = 2 * len(contents)
@@ -462,12 +455,11 @@ def enumerate_smlq(mu, row_filter=None):
             return
         lower = rows[-1]
         values = contents[(idx - 1) // 2] if idx % 2 else contents[idx // 2]
-        flt = (lambda arr: row_filter(idx, arr)) if row_filter else None
         if idx % 2:
-            arrs = signed_row_arrangements(values, lower, n, row_filter=flt)
+            arrs = signed_row_arrangements(values, lower, n)
             matcher = signed_matchings
         else:
-            arrs = classic_row_arrangements(values, lower, n, row_filter=flt)
+            arrs = classic_row_arrangements(values, lower, n)
             matcher = classic_matchings
         for arr in arrs:
             for m in matcher(arr, lower):
@@ -512,23 +504,18 @@ def _sum_weights(n, ctx, parts_iter):
     return XPoly(n, ctx, {e: ctx.sum(vs) for e, vs in groups.items()})
 
 
-def F_star(mu, ctx, order="original"):
+@cache
+def F_star(mu, ctx):
     """Generating sum of the signed queues of type mu."""
-    key = ("F_star", tuple(mu), order, ctx.key())
-    if key not in _memo:
-        _memo[key] = _sum_weights(
-            len(mu), ctx,
-            (Q.weight_parts(ctx, order=order) for Q in enumerate_smlq(mu)))
-    return _memo[key]
+    return _sum_weights(
+        len(mu), ctx, (Q.weight_parts(ctx) for Q in enumerate_smlq(mu)))
 
 
+@cache
 def F_hom(mu, ctx):
     """Generating sum of the homogeneous queues of type mu."""
-    key = ("F_hom", tuple(mu), ctx.key())
-    if key not in _memo:
-        _memo[key] = _sum_weights(
-            len(mu), ctx, (Q.weight_parts(ctx) for Q in enumerate_mlq(mu)))
-    return _memo[key]
+    return _sum_weights(
+        len(mu), ctx, (Q.weight_parts(ctx) for Q in enumerate_mlq(mu)))
 
 
 def Z_star(lam, n, ctx):

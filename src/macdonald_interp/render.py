@@ -11,13 +11,7 @@ from __future__ import annotations
 import json
 
 from .queues import Queue, SignedQueue
-from .tableaux import tableau_from_columns
-
-
-def row_label(idx):
-    """Bottom-up row name: even levels are classic, odd levels primed."""
-    r = idx // 2 + 1
-    return f"{r}'" if idx % 2 else f"{r}"
+from .tableaux import DoubledDiagram, tableau_from_columns
 
 
 def _cells(row):
@@ -39,7 +33,7 @@ def queue_text(queue):
     signed = isinstance(queue, SignedQueue)
     lines = []
     for idx, row in enumerate(queue.rows):
-        label = row_label(idx) if signed else str(idx + 1)
+        label = DoubledDiagram.level_name(idx) if signed else str(idx + 1)
         line = f"{label}: {_cells(row)}"
         if idx:
             line += f" | pair: {_pairs(queue.matchings[idx - 1])}"
@@ -128,7 +122,7 @@ def tableau_latex(t):
         cells = [_entry_tex(t.entry(c, idx)) for c in range(w)]
         cells += [""] * (width - w)
         lines.append(
-            rf"${row_label(idx)}$ & " + " & ".join(cells) + r" \\"
+            rf"${diag.level_name(idx)}$ & " + " & ".join(cells) + r" \\"
         )
         lines.append(r"\cline{2-" + str(1 + max(w, 1)) + "}")
     if not diag.lam:
@@ -158,7 +152,7 @@ def tableau_svg(t):
         y = (levels - 1 - idx) * _BOX + 10
         parts.append(
             f'<text x="{margin - 6}" y="{y + _BOX / 2 + 5}" '
-            f'text-anchor="end">{row_label(idx)}</text>'
+            f'text-anchor="end">{diag.level_name(idx)}</text>'
         )
         for c in range(diag.width(idx)):
             x = margin + c * _BOX

@@ -18,7 +18,10 @@ Everything downstream (polynomials in x, queue weights, solvers) is generic
 over these two domains via the `SymbolicScalars` / `SpecializedScalars`
 context objects.  A context supplies the constants and constructors (`one`,
 `zero`, `qt`, `binom`, `from_qq`), `sum` and `is_zero`; all other arithmetic
-is the scalars' own `+`, `-`, `*` and `/`.
+is the scalars' own `+`, `-`, `*` and `/`.  A context is its own memo key:
+`SYMBOLIC` is the one symbolic context, and specialized contexts compare
+and hash by their point, so contexts built from the same point share every
+memoized family.
 """
 
 from __future__ import annotations
@@ -336,12 +339,9 @@ def _divide(p, key):
     return out
 
 
-# terms of a polynomial -> its factor_binomials result; one entry per
-# distinct denominator seen in this process.  Results are shared between
-# callers, which is safe because no code changes a QTPoly's terms in place.
-_factor_memo = {}
-
-
+# Results are shared between callers, which is safe because no code
+# changes a QTPoly's terms in place.
+@cache
 def factor_binomials(p):
     """Split p into cyclotomic factors and a residual.
 
@@ -350,14 +350,10 @@ def factor_binomials(p):
     p, the terms of p on the line of direction (a, b) through its least
     exponent reach at least phi(d) steps, so only those (a, b, d) are tried.
     The residual is a monomial unless p has a factor that is not cyclotomic.
-    Results are memoized on the terms of p.
+    Results are memoized on the value of p.
     """
     if not p.terms or len(p.terms) == 1:
         return (), p
-    key = frozenset(p.terms.items())
-    hit = _factor_memo.get(key)
-    if hit is not None:
-        return hit
     q0, t0 = min(p.terms)
     reach = {}
     for eq, et in p.terms:
@@ -371,8 +367,7 @@ def factor_binomials(p):
             while (quot := _divide(p, (a, b, d))) is not None:
                 p = quot
                 factors[(a, b, d)] = factors.get((a, b, d), 0) + 1
-    result = _factor_memo[key] = (tuple(sorted(factors.items())), p)
-    return result
+    return tuple(sorted(factors.items())), p
 
 
 # Divisions by a polynomial that did not split into cyclotomic factors and
@@ -613,9 +608,6 @@ class SymbolicScalars:
 
     is_symbolic = True
 
-    def key(self):
-        return ("symbolic",)
-
     @property
     def one(self):
         return RAT_ONE
@@ -653,8 +645,12 @@ class SpecializedScalars:
         self.q0 = QQ(q0)
         self.t0 = QQ(t0)
 
-    def key(self):
-        return ("specialized", self.q0, self.t0)
+    def __eq__(self, other):
+        return (isinstance(other, SpecializedScalars)
+                and (self.q0, self.t0) == (other.q0, other.t0))
+
+    def __hash__(self):
+        return hash((self.q0, self.t0))
 
     @property
     def one(self):

@@ -32,13 +32,12 @@ integral normalization whose coefficients clear denominators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .compositions import sort_desc
 from .interpolation import f_star, solve_P_star
 from .queues import SignedQueue
 from .xpoly import XPoly
-
-_memo = {}
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +84,7 @@ class DoubledDiagram:
 
     @staticmethod
     def level_name(idx):
+        """Bottom-up row name: even levels are classic, odd levels primed."""
         r = idx // 2 + 1
         return f"{r}'" if idx % 2 else f"{r}"
 
@@ -276,14 +276,12 @@ def enumerate_tableaux(lam, n):
     return list(rec([]))
 
 
+@cache
 def _tableaux_by_type(lam, n):
-    key = ("by_type", tuple(lam), n)
-    if key not in _memo:
-        groups = {}
-        for t in enumerate_tableaux(lam, n):
-            groups.setdefault(t.type_of(), []).append(t)
-        _memo[key] = groups
-    return _memo[key]
+    groups = {}
+    for t in enumerate_tableaux(lam, n):
+        groups.setdefault(t.type_of(), []).append(t)
+    return groups
 
 
 def enumerate_tableaux_typed(lam, mu):
@@ -495,15 +493,13 @@ def tableau_term(t, ctx):
     return tableau_monomial(t, ctx) * tableau_weight(t, ctx)
 
 
+@cache
 def tableaux_sum_typed(mu, ctx):
     """Weight-generating sum over the tableaux of type mu."""
-    key = ("sum_typed", tuple(mu), ctx.key())
-    if key not in _memo:
-        total = XPoly(len(mu), ctx)
-        for t in enumerate_tableaux_typed(sort_desc(mu), mu):
-            total = total + tableau_term(t, ctx)
-        _memo[key] = total
-    return _memo[key]
+    total = XPoly(len(mu), ctx)
+    for t in enumerate_tableaux_typed(sort_desc(mu), mu):
+        total = total + tableau_term(t, ctx)
+    return total
 
 
 def tableaux_sum(lam, n, ctx):
@@ -519,6 +515,7 @@ def tableaux_sum(lam, n, ctx):
 # ---------------------------------------------------------------------------
 
 
+@cache
 def hook_product(lam, n, ctx):
     """Product of (1 - q^leg t^(arm+1)) over the primed boxes.
 
@@ -526,24 +523,20 @@ def hook_product(lam, n, ctx):
     evaluated on every tableau of the shape and the agreement is asserted
     (a mismatch would mean the statistics are broken).
     """
-    key = ("hook", tuple(lam), n, ctx.key())
-    if key not in _memo:
-        tabs = enumerate_tableaux(lam, n)
-        values = []
-        for t in tabs:
-            h = ctx.one
-            for c, idx in t.diagram.boxes():
-                if idx % 2:
-                    h = h * ctx.binom(leg(t, c, idx), arm(t, c, idx) + 1)
-            values.append(h)
-        first = values[0] if values else ctx.one
-        bad = next((i for i, v in enumerate(values) if v != first), None)
-        if bad is not None:
-            raise ArithmeticError(
-                f"hook product differs between fillings 0 and {bad} "
-                f"of shape {tuple(lam)}: {first} vs {values[bad]}")
-        _memo[key] = first
-    return _memo[key]
+    values = []
+    for t in enumerate_tableaux(lam, n):
+        h = ctx.one
+        for c, idx in t.diagram.boxes():
+            if idx % 2:
+                h = h * ctx.binom(leg(t, c, idx), arm(t, c, idx) + 1)
+        values.append(h)
+    first = values[0] if values else ctx.one
+    bad = next((i for i, v in enumerate(values) if v != first), None)
+    if bad is not None:
+        raise ArithmeticError(
+            f"hook product differs between fillings 0 and {bad} "
+            f"of shape {tuple(lam)}: {first} vs {values[bad]}")
+    return first
 
 
 def classical_hook(lam, ctx):

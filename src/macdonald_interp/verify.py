@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .compositions import (
     arrangements,
@@ -47,7 +48,7 @@ from .interpolation import (
     zero_one_f_star,
 )
 from .queues import F_star, SignedQueue, a_coeff, enumerate_smlq, g_coeff
-from .render import dumps, poly_text, queue_text, tableau_text
+from .render import dumps, poly_text, queue_text
 from .scalars import SYMBOLIC, SpecializedScalars, random_point
 from .tableaux import (
     J_star,
@@ -447,14 +448,15 @@ def _suite_twoline_recursion(b):
     """Signed two-row coefficient tables transform under the transition
     matrix when the larger part moves right (the applicable orientation)."""
     ctx = SYMBOLIC
+    g_table = cache(_g_table)  # read again by every (mu, i) that touches it
     width = min(max(b.max_n, 2), 4)
     for mu in itertools.product(range(4), repeat=width):
         for i in range(1, width):
             if mu[i - 1] <= mu[i]:
                 continue
-            pushed = transition_apply(_g_table(mu, ctx), i, ctx)
+            pushed = transition_apply(g_table(mu, ctx), i, ctx)
             pushed = {a: c for a, c in pushed.items() if not ctx.is_zero(c)}
-            direct = _g_table(swap_pair(mu, i), ctx)
+            direct = g_table(swap_pair(mu, i), ctx)
             ok = pushed == direct
             witness = None
             if not ok:

@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -489,10 +491,11 @@ def test_hom_recursion_positive_types():
 def test_symbolic_families_take_no_opaque_path(monkeypatch):
     """Every divisor met while building the symbolic families splits into
     cyclotomic factors: no opaque denominator factor is made."""
-    monkeypatch.setattr(interpolation, "_families", {})
+    monkeypatch.setattr(interpolation, "_family_of",
+                        cache(interpolation._Family))
     before = scalars.opaque_divisors
     E_star((4, 0), SYMBOLIC)
     E_star((3, 0, 0), SYMBOLIC)
-    assert interpolation._families[(2, SYMBOLIC.key())].size == 4
-    assert interpolation._families[(3, SYMBOLIC.key())].size == 3
+    assert interpolation._family_of(2, SYMBOLIC).size == 4
+    assert interpolation._family_of(3, SYMBOLIC).size == 3
     assert scalars.opaque_divisors == before

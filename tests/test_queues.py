@@ -95,6 +95,18 @@ def test_specialized_matches_symbolic():
         assert sym == F_star(mu, spec)
 
 
+def test_contexts_at_one_point_share_the_memo():
+    # q0 = 3/7 lies outside the seeded candidates, so no other test has
+    # filled this entry
+    a = SpecializedScalars(QQ(3, 7), QQ(-5, 4))
+    b = SpecializedScalars(QQ(3, 7), QQ(-5, 4))
+    assert a == b and hash(a) == hash(b)
+    assert a != SpecializedScalars(QQ(3, 7), QQ(5, 4))
+    before = F_star.cache_info().currsize
+    assert F_star((0, 2), a) is F_star((0, 2), b)
+    assert F_star.cache_info().currsize == before + 1
+
+
 def test_leading_coefficient_is_one():
     # [x^mu] F*_mu = 1
     for mu in [(0, 2), (2, 0), (1, 1), (2, 0, 1), (0, 1, 2)]:

@@ -13,7 +13,6 @@ from macdonald_interp.render import (
     queue_from_json,
     queue_json,
     queue_text,
-    row_label,
     scalar_json,
     tableau_from_json,
     tableau_json,
@@ -23,12 +22,13 @@ from macdonald_interp.render import (
 )
 from macdonald_interp.scalars import SYMBOLIC, QTPoly, RatQT
 from macdonald_interp.tableaux import (
-    enumerate_tableaux, tab, tableaux_sum_typed)
+    DoubledDiagram, enumerate_tableaux, tab, tableaux_sum_typed)
 from macdonald_interp.verify import figure_queue
 
 
 def test_row_labels():
-    assert [row_label(i) for i in range(4)] == ["1", "1'", "2", "2'"]
+    assert [DoubledDiagram.level_name(i) for i in range(4)] == \
+        ["1", "1'", "2", "2'"]
 
 
 def test_queue_json_round_trip_signed():
