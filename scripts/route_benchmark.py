@@ -17,14 +17,14 @@ import time
 from macdonald_interp.compositions import compositions_of
 from macdonald_interp.interpolation import f_star
 from macdonald_interp.queues import F_star
-from macdonald_interp.scalars import SYMBOLIC, SpecializedScalars, random_point
+from macdonald_interp.scalars import SYMBOLIC, specialized
 from macdonald_interp.tableaux import tableaux_sum_typed
 
 
 def context(mode, seed):
     if mode == "symbolic":
         return SYMBOLIC
-    return SpecializedScalars(*random_point(seed, 4))
+    return specialized(seed, 4)
 
 
 def main():

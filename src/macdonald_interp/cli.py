@@ -29,15 +29,13 @@ from .queues import (
     Z_hom,
     Z_star,
     a_coeff,
+    a_matchings,
     classic_layer_weight,
-    classic_matchings,
-    classic_sits,
     enumerate_mlq,
     enumerate_smlq,
     g_coeff,
+    g_matchings,
     signed_layer_weight,
-    signed_matchings,
-    signed_sits,
 )
 from .render import (
     coeff_table_json,
@@ -54,7 +52,7 @@ from .render import (
     tableau_svg,
     tableau_text,
 )
-from .scalars import SYMBOLIC, PoleError, SpecializedScalars, random_point
+from .scalars import SYMBOLIC, PoleError, specialized
 from .tableaux import (
     J_star,
     enumerate_tableaux,
@@ -90,8 +88,7 @@ def _parse_comp(text, name, signed=False):
 def _context(mode, seed):
     if mode == "symbolic":
         return SYMBOLIC
-    q0, t0 = random_point(seed, 4)
-    return SpecializedScalars(q0, t0)
+    return specialized(seed, 4)
 
 
 def _emit(text, out):
@@ -327,22 +324,9 @@ def _dispatch_enumerate(kind, n, mu, lam, type_, ctx):
         top = _parse_comp(type_, "type", signed=signed)
         if len(top) != len(bottom):
             raise click.UsageError("--type and --mu must have equal length")
-        if signed:
-            matchings = (
-                list(signed_matchings(top, bottom))
-                if signed_sits(top, bottom) else [])
-
-            def weigh(m):
-                return signed_layer_weight(top, bottom, m, ctx)
-        else:
-            matchings = (
-                list(classic_matchings(top, bottom))
-                if classic_sits(top, bottom) else [])
-
-            def weigh(m):
-                return classic_layer_weight(top, bottom, m, 2, ctx)
-        for m in matchings:
-            w = weigh(m)
+        for m in (g_matchings if signed else a_matchings)(top, bottom):
+            w = (signed_layer_weight(top, bottom, m, ctx) if signed
+                 else classic_layer_weight(top, bottom, m, 2, ctx))
             pairs = sorted(m.items())
             obj = {
                 "kind": kind,
@@ -420,30 +404,28 @@ def render(source, fmt, out):
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"input is not valid JSON: {exc}")
     kind = data.get("kind") if isinstance(data, dict) else None
+    if kind not in ("queue", "signed-queue", "tableau"):
+        raise click.UsageError(
+            f"unrenderable kind {kind!r}; expected queue, signed-queue, "
+            f"or tableau")
+    if kind != "tableau" and fmt not in ("text", "json"):
+        raise click.UsageError(f"format {fmt} applies to tableaux only")
+    parse = tableau_from_json if kind == "tableau" else queue_from_json
     try:
-        if kind in ("queue", "signed-queue"):
-            obj = queue_from_json(data)
-            if fmt == "text":
-                text = queue_text(obj) + "\n"
-            elif fmt == "json":
-                text = dumps(queue_json(obj)) + "\n"
-            else:
-                raise click.UsageError(
-                    f"format {fmt} applies to tableaux only")
-        elif kind == "tableau":
-            obj = tableau_from_json(data)
-            text = {
-                "text": lambda t: tableau_text(t) + "\n",
-                "json": lambda t: dumps(tableau_json(t)) + "\n",
-                "latex": lambda t: tableau_latex(t),
-                "svg": lambda t: tableau_svg(t),
-            }[fmt](obj)
-        else:
-            raise click.UsageError(
-                f"unrenderable kind {kind!r}; expected queue, signed-queue, "
-                f"or tableau")
-    except ValueError as exc:
+        obj = parse(data)
+    except (LookupError, TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid object: {exc}")
+    if kind == "tableau":
+        text = {
+            "text": lambda t: tableau_text(t) + "\n",
+            "json": lambda t: dumps(tableau_json(t)) + "\n",
+            "latex": lambda t: tableau_latex(t),
+            "svg": lambda t: tableau_svg(t),
+        }[fmt](obj)
+    elif fmt == "text":
+        text = queue_text(obj) + "\n"
+    else:
+        text = dumps(queue_json(obj)) + "\n"
     _emit(text, out)
 
 

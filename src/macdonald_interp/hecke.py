@@ -116,11 +116,11 @@ def transition_apply(coeffs, i, ctx):
     """Push a vector {alpha: c} through the T_i transition matrix."""
     out = {}
     for alpha, c in coeffs.items():
-        if ctx.is_zero(c):
+        if not c:
             continue
         for beta, w in transition_row(alpha, i, ctx).items():
             v = out.get(beta, ctx.zero) + c * w
-            if ctx.is_zero(v):
+            if not v:
                 out.pop(beta, None)
             else:
                 out[beta] = v

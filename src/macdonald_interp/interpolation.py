@@ -70,7 +70,7 @@ def solve_square(M, rhs, ctx):
     A = [list(row) + [rhs[i]] for i, row in enumerate(M)]
     prev = ctx.one
     for k in range(m):
-        piv = next((r for r in range(k, m) if not ctx.is_zero(A[r][k])), None)
+        piv = next((r for r in range(k, m) if A[r][k]), None)
         if piv is None:
             raise SingularSystemError("singular linear system")
         if piv != k:
@@ -84,9 +84,9 @@ def solve_square(M, rhs, ctx):
             row_i = A[i]
             # Every off-pivot entry is rescaled by p/prev (exactly), so all
             # diagonals end up equal to the last pivot.
-            if ctx.is_zero(aik):
+            if not aik:
                 for j in range(m + 1):
-                    if not ctx.is_zero(row_i[j]):
+                    if row_i[j]:
                         row_i[j] = p * row_i[j] / prev
             else:
                 for j in range(m + 1):
@@ -119,7 +119,7 @@ class _Family:
         ctx = self.ctx
         point = tilde_point(nu, ctx)
         value = poly.evaluate(point)
-        if ctx.is_zero(value):
+        if not value:
             raise SingularSystemError(
                 f"interpolation polynomial of {nu} vanishes at its own point"
                 " (degenerate q, t)")
@@ -135,7 +135,7 @@ class _Family:
         g = XPoly.monomial(self.n, ctx, lam)
         for tau in self.order:
             v = g.evaluate(self.points[tau])
-            if not ctx.is_zero(v):
+            if v:
                 g = g - self.polys[tau] * (v / self.own[tau])
         return g
 
@@ -257,13 +257,13 @@ def vanishing_violations(poly, mu, ctx, extra=0):
     for nu in compositions_upto(d + extra, n):
         v = poly.evaluate(tilde_point(nu, ctx))
         if nu == mu:
-            if ctx.is_zero(v):
+            if not v:
                 bad.append((nu, "vanishes at its own point"))
         elif sum(nu) <= d:
-            if not ctx.is_zero(v):
+            if v:
                 bad.append((nu, "nonzero"))
         elif not precedes(mu, nu):
-            if not ctx.is_zero(v):
+            if v:
                 bad.append((nu, "nonzero beyond degree"))
     return bad
 
@@ -279,9 +279,9 @@ def symmetric_vanishing_violations(poly, lam, n, ctx):
     for nu in partitions_upto(sum(lam), n):
         v = poly.evaluate(tilde_point(nu, ctx))
         if nu == lam:
-            if ctx.is_zero(v):
+            if not v:
                 bad.append((nu, "vanishes at its own point"))
-        elif not ctx.is_zero(v):
+        elif v:
             bad.append((nu, "nonzero"))
     return bad
 
@@ -297,14 +297,14 @@ def verify_characterization(g, mu, ctx):
     for nu in compositions_upto(d, n):
         if nu in orbit:
             continue
-        if not ctx.is_zero(g.evaluate(tilde_point(nu, ctx))):
+        if g.evaluate(tilde_point(nu, ctx)):
             return False
     for tau in orbit:
         c = g.coefficient(tau)
         if tau == mu:
             if c != ctx.one:
                 return False
-        elif not ctx.is_zero(c):
+        elif c:
             return False
     return True
 
@@ -316,7 +316,7 @@ def extra_vanishing_check(mu, nu, ctx):
     if precedes(mu, nu):
         return True
     v = solve_E_star(mu, ctx).evaluate(tilde_point(nu, ctx))
-    return ctx.is_zero(v)
+    return not v
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +462,7 @@ def h_poly(alpha, ctx):
     total = XPoly.zero(n, ctx)
     for nu in _two_row_tops(mu):
         coeff = a_coeff(nu, mu, ctx)
-        if ctx.is_zero(coeff):
+        if not coeff:
             continue
         numi = minus_one(nu)
         total = total + hat_transform(f_star(numi, ctx), d=sum(numi)) * coeff
@@ -496,7 +496,7 @@ def packed_recursion_rhs(mu, ctx):
     qinv = ctx.qt(-1, 0)
     for nu in _two_row_tops(mu):
         c = a_coeff(nu, mu, ctx)
-        if ctx.is_zero(c):
+        if not c:
             continue
         numi = minus_one(nu)
         inner = f_star(numi, ctx).scale_vars(qinv) * ctx.qt(sum(numi), 0)

@@ -357,20 +357,13 @@ class SignedQueue:
         top balls right to left) and tops[(row_idx, col)] is the top-row
         column of that ball's strand.
         """
-        parts = []
-        seen = {}
         lam = sort_desc([abs(v) for v in self.rows[0] if v])
         strand_of = {}
         tops = {}
         # group strands by part size, largest first; within a size, top
         # balls right to left
         c = 0
-        sizes = []
-        for p in lam:
-            if p not in seen:
-                seen[p] = True
-                sizes.append(p)
-        for a in sizes:
+        for a in dict.fromkeys(lam):
             top_idx = 2 * a - 1
             top_cols = sorted(
                 (j for j, v in enumerate(self.rows[top_idx], 1) if abs(v) == a),
@@ -540,38 +533,48 @@ def Z_hom(lam, n, ctx):
 # ---------------------------------------------------------------------------
 
 
+def a_matchings(nu, mu):
+    """The classic matchings that `a_coeff` sums: none unless nu has no 1s,
+    rearranges the parts of mu that are >= 2, and sits legally on mu."""
+    if any(v == 1 for v in nu):
+        return []
+    if sort_desc([v for v in nu if v]) != sort_desc([v for v in mu if v >= 2]):
+        return []
+    if not classic_sits(nu, mu):
+        return []
+    return list(classic_matchings(nu, mu))
+
+
+def g_matchings(alpha, mu):
+    """The signed matchings that `g_coeff` sums: none unless |alpha|
+    rearranges the parts of mu and sits on mu by the signed rules."""
+    if sort_desc([abs(v) for v in alpha if v]) != sort_desc([v for v in mu if v]):
+        return []
+    if not signed_sits(alpha, mu):
+        return []
+    return list(signed_matchings(alpha, mu))
+
+
 def a_coeff(nu, mu, ctx):
     """Classic two-row coefficient: top row nu (no 1s) over bottom mu.
 
-    Sums the classic pairing weights over all matchings; bottom 1s stay
-    unpaired but count as free balls.  Zero unless nu rearranges the parts
-    of mu that are >= 2 and every ball sits legally.
+    Sums the classic pairing weights over `a_matchings`; bottom 1s stay
+    unpaired but count as free balls.
     """
-    if any(v == 1 for v in nu):
+    matchings = a_matchings(nu, mu)
+    if not matchings:
         return ctx.zero
-    if sort_desc([v for v in nu if v]) != sort_desc([v for v in mu if v >= 2]):
-        return ctx.zero
-    if not classic_sits(nu, mu):
-        return ctx.zero
-    vals = [
-        classic_layer_weight(nu, mu, m, 2, ctx)
-        for m in classic_matchings(nu, mu)
-    ]
-    return ctx.sum(vals)
+    return ctx.sum([classic_layer_weight(nu, mu, m, 2, ctx)
+                    for m in matchings])
 
 
 def g_coeff(alpha, mu, ctx):
     """Signed two-row coefficient: signed top row alpha over bottom mu.
 
-    Sums the signed pairing weights (a polynomial in t).  Zero unless
-    |alpha| rearranges the parts of mu and the signed sitting rules hold.
+    Sums the signed pairing weights over `g_matchings` (a polynomial in t).
     """
-    if sort_desc([abs(v) for v in alpha if v]) != sort_desc([v for v in mu if v]):
+    matchings = g_matchings(alpha, mu)
+    if not matchings:
         return ctx.zero
-    if not signed_sits(alpha, mu):
-        return ctx.zero
-    vals = [
-        signed_layer_weight(alpha, mu, m, ctx)
-        for m in signed_matchings(alpha, mu)
-    ]
-    return ctx.sum(vals)
+    return ctx.sum([signed_layer_weight(alpha, mu, m, ctx)
+                    for m in matchings])

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import json
 
-from .queues import Queue, SignedQueue
+from .compositions import sort_desc
+from .queues import (
+    Queue,
+    SignedQueue,
+    classic_matchings,
+    classic_sits,
+    row_multisets,
+)
 from .tableaux import DoubledDiagram, tableau_from_columns
 
 
@@ -50,18 +57,44 @@ def queue_json(queue):
     }
 
 
+def _check_ints(n, lists):
+    """Raise ValueError unless n and every entry of the lists are ints."""
+    if type(n) is not int or any(type(v) is not int for x in lists for v in x):
+        raise ValueError("n and every entry must be ints")
+
+
+def _check_queue(queue):
+    """Raise ValueError unless a homogeneous queue obeys the queue rules."""
+    rows = queue.rows
+    if not rows or any(len(row) != queue.n for row in rows):
+        raise ValueError(f"rows must have {queue.n} entries each")
+    if ([sort_desc([v for v in row if v]) for row in rows]
+            != (row_multisets(sort_desc(rows[0])) or [()])
+            or len(queue.matchings) != len(rows) - 1):
+        raise ValueError("row contents do not match the bottom row")
+    for upper, lower, m in zip(rows[1:], rows, queue.matchings):
+        allowed = [tuple(sorted(x.items()))
+                   for x in classic_matchings(upper, lower)]
+        if not classic_sits(upper, lower) or m not in allowed:
+            raise ValueError("rows and matchings do not form a queue")
+
+
 def queue_from_json(data):
     """Rebuild a queue from its JSON form.
 
-    Signed queues are validated by checking that the strand reading is a
-    valid tableau whose inverse reproduces the queue exactly.
+    Homogeneous queues are checked against the queue rules.  Signed queues
+    are validated by checking that the strand reading is a valid tableau
+    whose inverse reproduces the queue exactly.
     """
     rows = tuple(tuple(row) for row in data["rows"])
     matchings = tuple(
         tuple(tuple(p) for p in m) for m in data["matchings"]
     )
+    _check_ints(data["n"], rows + tuple(p for m in matchings for p in m))
     if data.get("kind") == "queue":
-        return Queue(data["n"], rows, matchings)
+        queue = Queue(data["n"], rows, matchings)
+        _check_queue(queue)
+        return queue
     queue = SignedQueue(data["n"], rows, matchings)
     from .tableaux import tab, tab_inverse
 
@@ -98,6 +131,7 @@ def tableau_json(t):
 
 
 def tableau_from_json(data):
+    _check_ints(data["n"], data["columns"])
     return tableau_from_columns(data["n"], data["columns"])
 
 

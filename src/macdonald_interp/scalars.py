@@ -17,8 +17,8 @@ Two coefficient domains share one interface:
 Everything downstream (polynomials in x, queue weights, solvers) is generic
 over these two domains via the `SymbolicScalars` / `SpecializedScalars`
 context objects.  A context supplies the constants and constructors (`one`,
-`zero`, `qt`, `binom`, `from_qq`), `sum` and `is_zero`; all other arithmetic
-is the scalars' own `+`, `-`, `*` and `/`.  A context is its own memo key:
+`zero`, `qt`, `binom`, `from_qq`) and `sum`; all other arithmetic and the
+zero test (truth value) are the scalars' own.  A context is its own memo key:
 `SYMBOLIC` is the one symbolic context, and specialized contexts compare
 and hash by their point, so contexts built from the same point share every
 memoized family.
@@ -27,14 +27,9 @@ memoized family.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from fractions import Fraction as QQ
 from functools import cache
 from math import gcd
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # runs without gmpy2: same values, slower arithmetic
-    from fractions import Fraction as QQ
 
 
 class PoleError(ZeroDivisionError):
@@ -607,14 +602,8 @@ class SymbolicScalars:
     """Coefficients are elements of Q(q, t)."""
 
     is_symbolic = True
-
-    @property
-    def one(self):
-        return RAT_ONE
-
-    @property
-    def zero(self):
-        return RAT_ZERO
+    one = RAT_ONE
+    zero = RAT_ZERO
 
     def qt(self, a, b, c=1):
         return RatQT.qt(a, b, c)
@@ -629,9 +618,6 @@ class SymbolicScalars:
     def sum(self, items):
         return rq_sum(items)
 
-    def is_zero(self, c):
-        return not c
-
     def __repr__(self):
         return "SymbolicScalars()"
 
@@ -640,6 +626,8 @@ class SpecializedScalars:
     """Coefficients are exact rationals at a fixed point (q0, t0)."""
 
     is_symbolic = False
+    one = QQ(1)
+    zero = QQ(0)
 
     def __init__(self, q0, t0):
         self.q0 = QQ(q0)
@@ -651,14 +639,6 @@ class SpecializedScalars:
 
     def __hash__(self):
         return hash((self.q0, self.t0))
-
-    @property
-    def one(self):
-        return QQ(1)
-
-    @property
-    def zero(self):
-        return QQ(0)
 
     def qt(self, a, b, c=1):
         return self.q0 ** a * self.t0 ** b * QQ(c)
@@ -673,10 +653,7 @@ class SpecializedScalars:
         return QQ(c)
 
     def sum(self, items):
-        return sum(items, QQ(0))
-
-    def is_zero(self, c):
-        return c == 0
+        return sum(items, self.zero)
 
     def __repr__(self):
         return f"SpecializedScalars(q0={self.q0}, t0={self.t0})"
@@ -689,7 +666,7 @@ def _candidate_values():
     vals = set()
     for a in range(1, 6):
         for b in range(1, 6):
-            v = Fraction(a, b)
+            v = QQ(a, b)
             if v not in (0, 1):
                 vals.add(v)
                 vals.add(-v)

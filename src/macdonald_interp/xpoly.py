@@ -2,7 +2,7 @@
 
 Coefficients come from a scalars context (symbolic Q(q,t) elements or exact
 rationals at a specialized point); XPoly never inspects them beyond ring
-operations and the context's is_zero.  Exponent vectors are int tuples and
+operations and the scalars' truth value.  Exponent vectors are int tuples and
 may be negative where noted (the divided difference handles Laurent input).
 """
 
@@ -18,7 +18,7 @@ class XPoly:
         self.n = n
         self.ctx = ctx
         if terms:
-            self.terms = {e: c for e, c in terms.items() if not ctx.is_zero(c)}
+            self.terms = {e: c for e, c in terms.items() if c}
         else:
             self.terms = {}
 
@@ -95,7 +95,7 @@ class XPoly:
         for e, c in other.terms.items():
             if e in out:
                 v = out[e] + c
-                if self.ctx.is_zero(v):
+                if not v:
                     del out[e]
                 else:
                     out[e] = v
@@ -132,7 +132,7 @@ class XPoly:
                     k = tuple(a + b for a, b in zip(e1, e2))
                     if k in out:
                         v = out[k] + c1 * c2
-                        if ctx.is_zero(v):
+                        if not v:
                             del out[k]
                         else:
                             out[k] = v
@@ -143,7 +143,7 @@ class XPoly:
             return r
         if isinstance(other, int):
             other = self.ctx.from_qq(other)
-        if self.ctx.is_zero(other):
+        if not other:
             return XPoly(self.n, self.ctx)
         r = XPoly.__new__(XPoly)
         r.n, r.ctx = self.n, self.ctx
@@ -191,7 +191,7 @@ class XPoly:
                     v = c if v is None else v + c
                 else:
                     v = -c if v is None else v - c
-                if ctx.is_zero(v):
+                if not v:
                     del out[key]
                 else:
                     out[key] = v
@@ -216,11 +216,11 @@ class XPoly:
             cur = ctx.zero
             for k in range(d, 0, -1):
                 cur = cur + coeffs.get(k, ctx.zero)
-                if not ctx.is_zero(cur):
+                if cur:
                     out[rest[:i0] + (k - 1,) + rest[i0:]] = cur
                 cur = cur * a
             rem = cur + coeffs.get(0, ctx.zero)
-            if not ctx.is_zero(rem):
+            if rem:
                 raise ValueError("linear factor does not divide")
         return XPoly(self.n, ctx, out)
 

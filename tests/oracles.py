@@ -157,7 +157,7 @@ def extended_f_via_tops(alpha, ctx):
     total = XPoly.zero(n, ctx)
     for nu in _two_row_tops(mu):
         coeff = a_coeff(nu, mu, ctx)
-        if ctx.is_zero(coeff):
+        if not coeff:
             continue
         total = total + f_hom(minus_one(nu), ctx) * coeff
     return wt_sign_monomial(alpha, ctx) * total

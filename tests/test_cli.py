@@ -1,12 +1,15 @@
 import json
+from itertools import product
 
 import pytest
 from click.testing import CliRunner
 
 import macdonald_interp.cli as cli
 import macdonald_interp.verify as verify_mod
+from macdonald_interp.queues import a_coeff, g_coeff
 from macdonald_interp.render import poly_text, queue_from_json, tableau_from_json
-from macdonald_interp.scalars import QQ, SYMBOLIC, SpecializedScalars
+from macdonald_interp.scalars import (
+    QQ, SYMBOLIC, SpecializedScalars, specialized)
 from macdonald_interp.verify import six_term_f_star_02
 
 
@@ -157,6 +160,35 @@ def test_enumerate_signed_twoline_checks_sitting_rules(runner):
     assert result.output == "count: 0\n"
 
 
+@pytest.mark.parametrize("args", [
+    ("twoline", "--mu", "1,0", "--type", "1,0"),  # a classic top has no 1s
+    ("signed-twoline", "--mu", "2,1", "--type", "2,0"),  # the 1 is missing
+])
+def test_enumerate_twoline_lists_nothing_for_a_zero_coefficient(runner, args):
+    result = invoke(runner, "enumerate", *args)
+    assert result.exit_code == 0
+    assert result.output == "count: 0\n"
+
+
+def test_twoline_listings_sum_to_their_coefficients():
+    """Over n = 2, 3 and |mu| <= 3, the listed weights of every top row with
+    entries up to 3 sum to a_coeff (classic) and g_coeff (signed)."""
+    ctx = specialized(7, 4)
+    for n in (2, 3):
+        for mu in product(range(4), repeat=n):
+            if sum(mu) > 3:
+                continue
+            for kind, coeff, entries in (("twoline", a_coeff, range(4)),
+                                         ("signed-twoline", g_coeff,
+                                          range(-3, 4))):
+                for top in product(entries, repeat=n):
+                    items = cli._dispatch_enumerate(
+                        kind, None, ",".join(map(str, mu)), None,
+                        ",".join(map(str, top)), ctx)
+                    listed = sum((QQ(item[3]) for item in items), QQ(0))
+                    assert listed == coeff(top, mu, ctx), (kind, top, mu)
+
+
 def test_enumerate_mlq(runner):
     result = invoke(runner, "enumerate", "mlq", "--mu", "0,2,1")
     assert result.exit_code == 0
@@ -258,6 +290,47 @@ def test_render_rejects_bad_input(runner, tmp_path):
         json.dumps(json.loads(listed.output)["objects"][0]["object"]))
     assert invoke(runner, "render", str(queue_latex),
                   "--format", "latex").exit_code == 2
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "queue", "n": 2, "rows": [[5, 7], [9, 9], [1, 1]],
+     "matchings": [[], []]},
+    {"kind": "queue"},
+    {"kind": "tableau", "n": 2},
+    {"kind": "queue", "n": 2, "rows": 5, "matchings": []},
+    {"kind": "tableau", "n": 2, "columns": [[1, "a"]]},
+    {"kind": "tableau", "n": 2.5, "columns": [[1, -1, 1, 1], [2, 2]]},
+])
+def test_render_rejects_malformed_objects(runner, obj):
+    result = runner.invoke(cli.main, ["render"], input=json.dumps(obj))
+    assert result.exit_code == 2
+    assert "invalid object" in result.output
+
+
+def test_render_rejects_broken_queue_rules(runner):
+    listed = invoke(runner, "enumerate", "mlq", "--mu", "0,2,1",
+                    "--format", "json")
+    obj = json.loads(listed.output)["objects"][0]["object"]
+    assert obj["rows"] == [[0, 2, 1], [2, 0, 0]]
+    for rows, matchings in [
+        ([[0, 2, 1], [0, 0, 2]], [[[3, 2]]]),  # 2 sits over a 1
+        ([[0, 2, 1], [2, 0, 0]], [[[1, 3]]]),  # a 2 paired with a 1
+        ([[0, 2, 1], [2, 0, 0]], []),  # a matching is missing
+        ([[0, 2, 1], [2, 0, 0], [2, 0, 0]], [[[1, 2]], [[1, 1]]]),  # extra row
+    ]:
+        with pytest.raises(ValueError):
+            queue_from_json(dict(obj, rows=rows, matchings=matchings))
+
+
+def test_render_round_trips_every_listed_queue(runner):
+    listed = invoke(runner, "enumerate", "mlq", "--mu", "0,2,1",
+                    "--format", "json")
+    for item in json.loads(listed.output)["objects"]:
+        obj = item["object"]
+        result = runner.invoke(cli.main, ["render", "--format", "json"],
+                               input=json.dumps(obj))
+        assert result.exit_code == 0
+        assert json.loads(result.output) == obj
 
 
 # -- global flags --------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every module-level import of the package is read by its module."""
+"""Every module-level import of the package is read by its module, and no
+module catches ImportError to fall back on another backend."""
 
 import ast
 import glob
@@ -33,3 +34,20 @@ def test_module_reads_every_import(path):
     with open(path) as f:
         tree = ast.parse(f.read())
     assert unused_imports(tree) == []
+
+
+def catches_import_error(tree):
+    """Lines of the except clauses that name ImportError (or a subclass)."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+            & {"ImportError", "ModuleNotFoundError"}]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(PACKAGE, "*.py"))),
+    ids=os.path.basename)
+def test_module_has_no_import_fallback(path):
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    assert catches_import_error(tree) == []

@@ -198,7 +198,7 @@ def test_dense_solver_matches():
 def test_E_star_own_value_nonzero():
     ctx = sym()
     for mu in [(0, 0), (1, 0), (0, 2), (1, 1, 0)]:
-        assert not ctx.is_zero(E_star_own_value(mu, ctx))
+        assert E_star_own_value(mu, ctx)
         v = E_star(mu, ctx).evaluate(tilde_point(mu, ctx))
         assert v == E_star_own_value(mu, ctx)
 
@@ -305,9 +305,9 @@ def test_f_star_vanishes_off_the_orbit():
     for nu in compositions_upto(2, 2):
         v = poly.evaluate(tilde_point(nu, ctx))
         if nu == mu:
-            assert not ctx.is_zero(v)
+            assert v
         elif nu not in orbit:
-            assert ctx.is_zero(v)
+            assert not v
 
 
 # ---------------------------------------------------------------------------

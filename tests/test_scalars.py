@@ -1,3 +1,4 @@
+import fractions
 import random
 
 import pytest
@@ -243,7 +244,15 @@ def test_symbolic_context():
     assert ctx.binom(1, 1) == RatQT(QTPoly.binomial(1, 1))
     assert ctx.binom(-2, 1) == 1 - ctx.qt(-2, 1)
     assert ctx.sum([ctx.one, ctx.one]) == ctx.from_qq(2)
-    assert ctx.is_zero(ctx.zero)
+    assert not ctx.zero
+
+
+def test_contexts_supply_only_constants_and_constructors():
+    members = {"is_symbolic", "one", "zero", "qt", "binom", "from_qq", "sum"}
+    for cls in (SymbolicScalars, SpecializedScalars):
+        assert {m for m in vars(cls) if not m.startswith("_")} == members
+        assert not any(isinstance(v, property) for v in vars(cls).values())
+    assert scalars.QQ is fractions.Fraction
 
 
 def test_specialized_context_matches_symbolic():
