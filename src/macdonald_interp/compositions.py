@@ -21,6 +21,16 @@ from itertools import permutations as iter_permutations
 def is_partition(mu):
     return all(mu[i] >= mu[i + 1] for i in range(len(mu) - 1))
 
+def fit_partition(lam, n):
+    """lam as n parts: zero parts dropped, then zeros padded.  Raises
+    ValueError unless lam is a partition of at most n nonzero parts."""
+    if not is_partition(lam):
+        raise ValueError("index must be a partition")
+    parts = tuple(p for p in lam if p)
+    if len(parts) > n:
+        raise ValueError("partition longer than variable count")
+    return parts + (0,) * (n - len(parts))
+
 def sort_desc(mu):
     return tuple(sorted(mu, reverse=True))
 

@@ -32,8 +32,8 @@ from .compositions import (
     comp_lt,
     compositions_upto,
     conjugate,
+    fit_partition,
     is_packed,
-    is_partition,
     minus_one,
     partitions_of,
     partitions_upto,
@@ -212,13 +212,8 @@ def solve_P_star(lam, n, ctx):
 
     Built as the orbit sum of the ASEP-indexed family over the
     rearrangements of lam (the symmetrization identity)."""
-    lam = tuple(lam) + (0,) * (n - len(lam))
-    if not is_partition(lam):
-        raise ValueError("index must be a partition")
-    if len(lam) > n:
-        raise ValueError("partition longer than variable count")
     poly = XPoly.zero(n, ctx)
-    for mu in arrangements(lam):
+    for mu in arrangements(fit_partition(lam, n)):
         poly = poly + f_star(mu, ctx)
     return poly
 

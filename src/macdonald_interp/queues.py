@@ -30,8 +30,20 @@ skipped counts the free balls strictly between ball and partner.
 Nontrivial primed pairings contribute +-(1-t) t^(skipped+empty) with the
 sign of the upper ball; their skipped/empty counts are position-static.
 
+A queue's weight is a product of factors that each read one layer (two
+adjacent rows and their matching) or one primed row.  So the generating
+sums F*_mu (`F_star`) and F_mu (`F_hom`) are built row by row, a product of
+transfer matrices indexed by rows: the state maps each top row to the sum
+of the weights of the partial queues below it, and each step multiplies in
+a memoized layer sum over matchings (`signed_layer_sum`,
+`classic_layer_sum`).  The orbit sums Z*_lam and Z_lam add these over the
+arrangements of lam.  No queue is listed or weighed on the way; the
+per-queue enumeration (`enumerate_smlq`, `enumerate_mlq`, `weight_parts`)
+remains for listing, counting and the bijection and order checks.
+
 Two-row specializations give scalar transition coefficients: `a_coeff`
-(classic, bottom 1s left unpaired) and `g_coeff` (signed, in Z[t]).
+(classic, bottom 1s left unpaired) and `g_coeff` (signed, in Z[t]), the
+layer sums of row 2 over row 1 and of row 1' over row 1.
 """
 
 from __future__ import annotations
@@ -39,8 +51,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
+from operator import add
 
-from .compositions import arrangements, sort_desc
+from .compositions import absolute, arrangements, fit_partition, sort_desc
 from .xpoly import XPoly
 
 
@@ -486,44 +499,144 @@ def enumerate_mlq(mu):
 
 
 # ---------------------------------------------------------------------------
-# generating sums
+# layer sums and generating sums
 # ---------------------------------------------------------------------------
 
 
-def _sum_weights(n, ctx, parts_iter):
-    groups = {}
-    for exps, scal in parts_iter:
-        groups.setdefault(exps, []).append(scal)
-    return XPoly(n, ctx, {e: ctx.sum(vs) for e, vs in groups.items()})
+def _add_up(values, ctx):
+    """ctx.sum of a list, without the call for fewer than two values."""
+    if len(values) > 1:
+        return ctx.sum(values)
+    return values[0] if values else ctx.zero
+
+
+@cache
+def signed_layer_sum(upper, lower, ctx):
+    """Sum of the signed layer weights over the matchings of a primed row
+    over a classic row."""
+    return _add_up([signed_layer_weight(upper, lower, m, ctx)
+                    for m in signed_matchings(upper, lower)], ctx)
+
+
+@cache
+def classic_layer_sum(upper, lower, r, ctx):
+    """Sum of the classic layer weights over the matchings of classic row r
+    over the row below.  Only the absolute values of `lower` are read, so
+    callers pass those and the sign variants of a primed row share one
+    entry."""
+    return _add_up([classic_layer_weight(upper, lower, m, r, ctx)
+                    for m in classic_matchings(upper, lower)], ctx)
+
+
+def _balls(row):
+    """Exponent vector with x_c for each positive ball of row."""
+    return tuple(1 if v > 0 else 0 for v in row)
+
+
+@cache
+def _primed_steps(values, lower, r, ctx):
+    """The primed rows r' of `values` over classic row `lower`, as (their
+    absolute values, exponents, weight): the layer sum times x_c per
+    positive ball and -q^(r-1)/t^(n-1) per negative ball."""
+    n = len(lower)
+    negative = ctx.qt(r - 1, -(n - 1), -1)
+    steps = []
+    for arr in signed_row_arrangements(values, lower, n):
+        w = signed_layer_sum(arr, lower, ctx)
+        if w:
+            for v in arr:
+                if v < 0:
+                    w = w * negative
+            steps.append((absolute(arr), _balls(arr), w))
+    return tuple(steps)
+
+
+@cache
+def _classic_steps(values, lower, r, ctx):
+    """The classic rows r of `values` over `lower` (unsigned), as (row, no
+    exponents, weight)."""
+    n = len(lower)
+    steps = []
+    for arr in classic_row_arrangements(values, lower, n):
+        w = classic_layer_sum(arr, lower, r, ctx)
+        if w:
+            steps.append((arr, (0,) * n, w))
+    return tuple(steps)
+
+
+@cache
+def _hom_steps(values, lower, r, ctx):
+    """`_classic_steps` with x_c for each ball of the new row."""
+    return tuple((arr, _balls(arr), w)
+                 for arr, _, w in _classic_steps(values, lower, r, ctx))
+
+
+def _walk(mu, exps, layers, ctx):
+    """Sum over the chains of rows stacked on bottom row mu.
+
+    Each layer is (step, values, r), and step(values, lower, r, ctx) lists
+    the rows that sit on `lower` with the exponents they add and their
+    weight.  The state maps each top row to {exponents: scalar}, summed
+    over the chains that reach it: a product of transfer matrices indexed
+    by rows.
+    """
+    state = {mu: {exps: ctx.one}}
+    for step, values, r in layers:
+        groups = {}
+        for lower, poly in state.items():
+            for upper, step_exps, w in step(values, lower, r, ctx):
+                acc = groups.setdefault(upper, {})
+                for e, c in poly.items():
+                    key = tuple(map(add, e, step_exps))
+                    acc.setdefault(key, []).append(c * w)
+        state = {upper: _sums(acc, ctx) for upper, acc in groups.items()}
+    total = {}
+    for poly in state.values():
+        for e, c in poly.items():
+            total.setdefault(e, []).append(c)
+    return XPoly(len(mu), ctx, _sums(total, ctx))
+
+
+def _sums(groups, ctx):
+    return {e: s for e, vs in groups.items() if (s := _add_up(vs, ctx))}
 
 
 @cache
 def F_star(mu, ctx):
-    """Generating sum of the signed queues of type mu."""
-    return _sum_weights(
-        len(mu), ctx, (Q.weight_parts(ctx) for Q in enumerate_smlq(mu)))
+    """Generating sum of the signed queues of type mu: rows 1', 2, 2', ...,
+    L' stacked on mu one at a time."""
+    layers = []
+    for r, values in enumerate(row_multisets(sort_desc(mu)), 1):
+        if r > 1:
+            layers.append((_classic_steps, values, r))
+        layers.append((_primed_steps, values, r))
+    return _walk(tuple(mu), (0,) * len(mu), layers, ctx)
 
 
 @cache
 def F_hom(mu, ctx):
-    """Generating sum of the homogeneous queues of type mu."""
-    return _sum_weights(
-        len(mu), ctx, (Q.weight_parts(ctx) for Q in enumerate_mlq(mu)))
+    """Generating sum of the homogeneous queues of type mu: rows 2, ..., L
+    stacked on mu, every ball weighing x_c."""
+    contents = row_multisets(sort_desc(mu))
+    layers = [(_hom_steps, values, r)
+              for r, values in enumerate(contents[1:], 2)]
+    return _walk(tuple(mu), _balls(mu), layers, ctx)
 
 
 def Z_star(lam, n, ctx):
-    """Orbit sum of F_star over all arrangements of lam in n columns."""
-    lam = tuple(lam) + (0,) * (n - len(lam))
+    """Orbit sum of F_star over all arrangements of lam in n columns;
+    ValueError unless lam is a partition of at most n nonzero parts."""
     total = XPoly(n, ctx)
-    for mu in arrangements(lam):
+    for mu in arrangements(fit_partition(lam, n)):
         total = total + F_star(mu, ctx)
     return total
 
 
 def Z_hom(lam, n, ctx):
-    lam = tuple(lam) + (0,) * (n - len(lam))
+    """Orbit sum of F_hom over all arrangements of lam in n columns;
+    ValueError unless lam is a partition of at most n nonzero parts."""
     total = XPoly(n, ctx)
-    for mu in arrangements(lam):
+    for mu in arrangements(fit_partition(lam, n)):
         total = total + F_hom(mu, ctx)
     return total
 
@@ -533,48 +646,56 @@ def Z_hom(lam, n, ctx):
 # ---------------------------------------------------------------------------
 
 
+def _a_fits(nu, mu):
+    """nu has no 1s, rearranges the parts of mu that are >= 2, and sits
+    legally on mu."""
+    return (all(v != 1 for v in nu)
+            and sort_desc([v for v in nu if v])
+            == sort_desc([v for v in mu if v >= 2])
+            and classic_sits(nu, mu))
+
+
+def _g_fits(alpha, mu):
+    """|alpha| rearranges the parts of mu, sits on mu by the signed rules,
+    and has a matching: per label, the k-th unforced ball from the left
+    lies at or left of the k-th unforced partner.  A coefficient without
+    a matching so returns zero at once and leaves no memo entry."""
+    if not (sort_desc([abs(v) for v in alpha if v])
+            == sort_desc([v for v in mu if v])
+            and signed_sits(alpha, mu)):
+        return False
+    for a in {abs(v) for v in alpha if v}:
+        free = [j for j, v in enumerate(alpha)
+                if abs(v) == a and not (v > 0 and mu[j] == a)]
+        avail = [k for k, v in enumerate(mu)
+                 if v == a and not (alpha[k] == a)]
+        if any(k < j for j, k in zip(free, avail)):
+            return False
+    return True
+
+
 def a_matchings(nu, mu):
-    """The classic matchings that `a_coeff` sums: none unless nu has no 1s,
-    rearranges the parts of mu that are >= 2, and sits legally on mu."""
-    if any(v == 1 for v in nu):
-        return []
-    if sort_desc([v for v in nu if v]) != sort_desc([v for v in mu if v >= 2]):
-        return []
-    if not classic_sits(nu, mu):
-        return []
-    return list(classic_matchings(nu, mu))
+    """The classic matchings that `a_coeff` sums."""
+    return list(classic_matchings(nu, mu)) if _a_fits(nu, mu) else []
 
 
 def g_matchings(alpha, mu):
-    """The signed matchings that `g_coeff` sums: none unless |alpha|
-    rearranges the parts of mu and sits on mu by the signed rules."""
-    if sort_desc([abs(v) for v in alpha if v]) != sort_desc([v for v in mu if v]):
-        return []
-    if not signed_sits(alpha, mu):
-        return []
-    return list(signed_matchings(alpha, mu))
+    """The signed matchings that `g_coeff` sums."""
+    return list(signed_matchings(alpha, mu)) if _g_fits(alpha, mu) else []
 
 
 def a_coeff(nu, mu, ctx):
     """Classic two-row coefficient: top row nu (no 1s) over bottom mu.
 
-    Sums the classic pairing weights over `a_matchings`; bottom 1s stay
-    unpaired but count as free balls.
+    The classic layer sum of row 2 over mu; bottom 1s stay unpaired but
+    count as free balls.
     """
-    matchings = a_matchings(nu, mu)
-    if not matchings:
-        return ctx.zero
-    return ctx.sum([classic_layer_weight(nu, mu, m, 2, ctx)
-                    for m in matchings])
+    return classic_layer_sum(nu, mu, 2, ctx) if _a_fits(nu, mu) else ctx.zero
 
 
 def g_coeff(alpha, mu, ctx):
     """Signed two-row coefficient: signed top row alpha over bottom mu.
 
-    Sums the signed pairing weights over `g_matchings` (a polynomial in t).
+    The signed layer sum of alpha over mu (a polynomial in t).
     """
-    matchings = g_matchings(alpha, mu)
-    if not matchings:
-        return ctx.zero
-    return ctx.sum([signed_layer_weight(alpha, mu, m, ctx)
-                    for m in matchings])
+    return signed_layer_sum(alpha, mu, ctx) if _g_fits(alpha, mu) else ctx.zero

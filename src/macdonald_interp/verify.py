@@ -241,9 +241,9 @@ def _suite_weight_golden(b):
 
 def _suite_main_theorem(b):
     """Queue generating sums against the Hecke-built interpolation family,
-    symbolically in two variables and at seeded points above."""
+    symbolically and at seeded points, over the same types."""
     ctx = SYMBOLIC
-    for mu in _compositions(min(2, b.max_n), min(3, b.max_size)):
+    for mu in _compositions(b.max_n, b.max_size):
         ok = F_star(mu, ctx) == f_star(mu, ctx)
         yield _report("main-theorem", f"mu={_fmt(mu)}", "symbolic", ok,
                       poly_text(F_star(mu, ctx)))

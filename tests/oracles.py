@@ -1,9 +1,10 @@
 """Reference implementations that the tests hold the package routes against.
 
 Brute-force orders and permutations, symmetric-polynomial helpers, a dense
-solve of the vanishing conditions, and second constructions of E* and of the
-signed-index family.  No package route needs them.  Pytest does not collect
-this module; the test modules import it.
+solve of the vanishing conditions, second constructions of E* and of the
+signed-index family, and the queue generating sums weighed queue by
+queue.  No package route needs them.  Pytest does not collect this module;
+the test modules import it.
 """
 
 from itertools import permutations
@@ -25,7 +26,7 @@ from macdonald_interp.interpolation import (
     solve_square,
     wt_sign_monomial,
 )
-from macdonald_interp.queues import a_coeff
+from macdonald_interp.queues import a_coeff, enumerate_mlq, enumerate_smlq
 from macdonald_interp.xpoly import XPoly
 
 
@@ -161,3 +162,28 @@ def extended_f_via_tops(alpha, ctx):
             continue
         total = total + f_hom(minus_one(nu), ctx) * coeff
     return wt_sign_monomial(alpha, ctx) * total
+
+
+# ---------------------------------------------------------------------------
+# queue generating sums, one queue at a time
+# ---------------------------------------------------------------------------
+
+
+def _queue_sum(queues, n, ctx):
+    """The weights of the listed queues, summed per monomial."""
+    groups = {}
+    for Q in queues:
+        exps, scal = Q.weight_parts(ctx)
+        groups.setdefault(exps, []).append(scal)
+    return XPoly(n, ctx, {e: ctx.sum(vs) for e, vs in groups.items()})
+
+
+def F_star_by_queues(mu, ctx):
+    """``queues.F_star`` as the sum of the weights of the signed queues."""
+    return _queue_sum(enumerate_smlq(mu), len(mu), ctx)
+
+
+def F_hom_by_queues(mu, ctx):
+    """``queues.F_hom`` as the sum of the weights of the homogeneous
+    queues."""
+    return _queue_sum(enumerate_mlq(mu), len(mu), ctx)

@@ -109,7 +109,7 @@ def test_solve_square_random_systems(seed):
     import random
 
     rng = random.Random(seed)
-    ctx = SpecializedScalars(*random_point(seed, 4))
+    ctx = specialized(seed, 4)
     m = rng.randint(1, 4)
     sol_true = [ctx.from_qq(rng.randint(-5, 5)) / rng.randint(1, 3) for _ in range(m)]
     while True:
@@ -176,10 +176,9 @@ def test_E_star_extra_vanishing():
 
 
 def test_E_star_specialized_matches_symbolic():
-    q0, t0 = random_point(11, 4)
-    ctx = SpecializedScalars(q0, t0)
+    ctx = specialized(11, 4)
     for mu in [(0, 1), (2, 0), (1, 0, 1)]:
-        sym_poly = E_star(mu, sym()).specialize(q0, t0, ctx)
+        sym_poly = E_star(mu, sym()).specialize(ctx.q0, ctx.t0, ctx)
         assert sym_poly == E_star(mu, ctx)
 
 
@@ -190,7 +189,7 @@ def test_dense_solver_matches():
         assert solve_E_star_dense(mu, ctx) == E_star(mu, ctx)
     # every pivot the elimination divides by splits into cyclotomic factors
     assert scalars.opaque_divisors == before
-    spec = SpecializedScalars(*random_point(23, 4))
+    spec = specialized(23, 4)
     for mu in [(2, 1), (0, 2, 1), (3, 0)]:
         assert solve_E_star_dense(mu, spec) == E_star(mu, spec)
 
@@ -248,7 +247,7 @@ def test_f_star_matches_queue_sum_symbolic(mu):
 
 @pytest.mark.parametrize("mu", [(0, 2, 1), (1, 0, 2), (0, 0, 3), (2, 0, 1), (0, 1, 1)])
 def test_f_star_matches_queue_sum_specialized(mu):
-    ctx = SpecializedScalars(*random_point(5, 4))
+    ctx = specialized(5, 4)
     assert f_star(mu, ctx) == F_star(mu, ctx)
 
 
@@ -464,7 +463,7 @@ def test_decomposition_two_vars(mu):
 
 
 def test_decomposition_three_vars_specialized():
-    ctx = SpecializedScalars(*random_point(13, 4))
+    ctx = specialized(13, 4)
     for mu in [(0, 2, 0), (2, 0, 1), (0, 1, 2)]:
         assert general_decomposition_rhs(mu, ctx) == f_star(mu, ctx)
 

@@ -1,5 +1,10 @@
-from macdonald_interp.compositions import arrangements, signed_variants, sort_desc
+import pytest
+
+from macdonald_interp import queues
+from macdonald_interp.compositions import (
+    arrangements, compositions_upto, signed_variants, sort_desc)
 from macdonald_interp.hecke import unpack_coeffs
+from macdonald_interp.interpolation import solve_P_star
 from macdonald_interp.queues import (
     F_hom,
     F_star,
@@ -14,10 +19,12 @@ from macdonald_interp.queues import (
     multiset_placements,
     signed_matchings,
 )
-from macdonald_interp.scalars import QQ, SYMBOLIC, SpecializedScalars, random_point
+from macdonald_interp.render import poly_text
+from macdonald_interp.scalars import (
+    QQ, SYMBOLIC, SpecializedScalars, specialized)
 from macdonald_interp.xpoly import XPoly
 
-from oracles import is_symmetric
+from oracles import F_hom_by_queues, F_star_by_queues, is_symmetric
 
 
 def sym_x(i, n=2):
@@ -88,11 +95,53 @@ def test_f_hom_is_top_part_of_f_star():
 
 
 def test_specialized_matches_symbolic():
-    q0, t0 = random_point(17, 3)
-    spec = SpecializedScalars(q0, t0)
+    spec = specialized(17, 3)
     for mu in [(0, 2), (1, 0, 2)]:
-        sym = F_star(mu, SYMBOLIC).specialize(q0, t0, spec)
+        sym = F_star(mu, SYMBOLIC).specialize(spec.q0, spec.t0, spec)
         assert sym == F_star(mu, spec)
+
+
+@pytest.mark.parametrize("ctx, ns", [
+    (SYMBOLIC, (1, 2, 3)),
+    (specialized(5, 4), (4,)),
+    (specialized(7, 4, q_fixed=1), (3,)),
+], ids=["symbolic", "specialized", "q1"])
+def test_row_walk_equals_queue_by_queue_sums(ctx, ns):
+    """The row-by-row sums equal the queue-by-queue sums as values and as
+    printed text, for every type of size <= 3."""
+    for n in ns:
+        for mu in compositions_upto(3, n):
+            for walk, by_queues in ((F_star, F_star_by_queues),
+                                    (F_hom, F_hom_by_queues)):
+                got, want = walk(mu, ctx), by_queues(mu, ctx)
+                assert got == want, (walk.__name__, mu)
+                assert poly_text(got) == poly_text(want), (walk.__name__, mu)
+
+
+def test_generating_sums_weigh_no_queue(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generating sum listed or weighed a queue")
+
+    monkeypatch.setattr(queues.SignedQueue, "weight_parts", refuse)
+    monkeypatch.setattr(queues.Queue, "weight_parts", refuse)
+    monkeypatch.setattr(queues, "enumerate_smlq", refuse)
+    monkeypatch.setattr(queues, "enumerate_mlq", refuse)
+    # a point no other test uses, so every memo entry is computed here
+    ctx = SpecializedScalars(QQ(5, 11), QQ(-7, 3))
+    assert F_star((1, 0, 2), ctx).coefficient((1, 0, 2)) == ctx.one
+    assert F_hom((1, 0, 2), ctx).coefficient((1, 0, 2)) == ctx.one
+    assert is_symmetric(Z_star((2, 1), 3, ctx))
+
+
+def test_orbit_sums_reject_partitions_longer_than_n():
+    for orbit_sum in (Z_star, Z_hom, solve_P_star):
+        with pytest.raises(ValueError):
+            orbit_sum((1, 1, 1), 2, SYMBOLIC)
+        with pytest.raises(ValueError):
+            orbit_sum((1, 2), 2, SYMBOLIC)
+        padded = orbit_sum((2, 0, 0), 2, SYMBOLIC)
+        assert padded.n == 2
+        assert padded == orbit_sum((2,), 2, SYMBOLIC)
 
 
 def test_contexts_at_one_point_share_the_memo():

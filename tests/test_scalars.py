@@ -19,6 +19,7 @@ from macdonald_interp.scalars import (
     point_is_generic,
     random_point,
     rq_sum,
+    specialized,
 )
 
 
@@ -257,11 +258,10 @@ def test_contexts_supply_only_constants_and_constructors():
 
 def test_specialized_context_matches_symbolic():
     sym = SymbolicScalars()
-    q0, t0 = random_point(3, 4)
-    spec = SpecializedScalars(q0, t0)
+    spec = specialized(3, 4)
     expr_sym = sym.binom(2, 1) * sym.qt(1, -3) + sym.from_qq(QQ(2, 7))
     expr_spec = spec.binom(2, 1) * spec.qt(1, -3) + spec.from_qq(QQ(2, 7))
-    assert expr_sym.evaluate(q0, t0) == expr_spec
+    assert expr_sym.evaluate(spec.q0, spec.t0) == expr_spec
 
 
 def test_specialized_binom_pole_guard():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from macdonald_interp.compositions import arrangements, sort_desc
 from macdonald_interp.interpolation import f_star, solve_P_star
 from macdonald_interp.queues import SignedQueue, enumerate_smlq
-from macdonald_interp.scalars import SYMBOLIC, SpecializedScalars, random_point
+from macdonald_interp.scalars import SYMBOLIC, SpecializedScalars, specialized
 from macdonald_interp.tableaux import (
     DoubledDiagram,
     J_star,
@@ -249,7 +249,7 @@ def test_typed_sums_match_interpolation_asep():
 
 
 def test_typed_sums_match_asep_specialized_n3():
-    spec = SpecializedScalars(*random_point(23, 5))
+    spec = specialized(23, 5)
     for mu in [(0, 1, 1), (1, 0, 2), (0, 0, 2), (2, 1, 0)]:
         assert tableaux_sum_typed(mu, spec) == f_star(mu, spec)
 
@@ -264,10 +264,10 @@ def test_shape_sums_match_symmetric_interpolation():
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=10, deadline=None)
 def test_typed_sum_specializations_agree(seed):
-    q0, t0 = random_point(seed, 4)
-    spec = SpecializedScalars(q0, t0)
+    spec = specialized(seed, 4)
     for mu in [(2, 0), (1, 1)]:
-        sym = tableaux_sum_typed(mu, SYMBOLIC).specialize(q0, t0, spec)
+        sym = tableaux_sum_typed(mu, SYMBOLIC).specialize(
+            spec.q0, spec.t0, spec)
         assert sym == tableaux_sum_typed(mu, spec)
 
 

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macdonald_interp.scalars import QQ, SYMBOLIC, RatQT, SpecializedScalars, random_point
+from macdonald_interp.scalars import (
+    QQ, SYMBOLIC, RatQT, SpecializedScalars, specialized)
 from macdonald_interp.xpoly import XPoly
 
 from oracles import is_symmetric, monomial_symmetric, swap
@@ -109,8 +110,8 @@ def test_scale_vars():
 
 
 def test_symbolic_coefficients_roundtrip():
-    q0, t0 = random_point(9, 3)
-    spec = SpecializedScalars(q0, t0)
+    spec = specialized(9, 3)
+    q0, t0 = spec.q0, spec.t0
     x1 = XPoly.var(2, SYMBOLIC, 1)
     x2 = XPoly.var(2, SYMBOLIC, 2)
     p = SYMBOLIC.qt(1, -1) * x1 + SYMBOLIC.binom(1, 1) * x2 ** 2
