@@ -299,16 +299,19 @@ def _dispatch_enumerate(kind, n, mu, lam, type_, ctx):
             ))
     elif kind == "tableaux":
         shape = _parse_comp(lam, "lambda")
-        if type_ is not None:
-            comp = _parse_comp(type_, "type")
-            _bounds_check(len(comp), sum(comp))
-            tabs = enumerate_tableaux_typed(shape, comp)
-        else:
-            if n is None:
-                raise click.UsageError(
-                    "--type or --n is required for tableaux")
-            _bounds_check(n, sum(shape))
-            tabs = enumerate_tableaux(shape, n)
+        try:
+            if type_ is not None:
+                comp = _parse_comp(type_, "type")
+                _bounds_check(len(comp), sum(comp))
+                tabs = enumerate_tableaux_typed(shape, comp)
+            else:
+                if n is None:
+                    raise click.UsageError(
+                        "--type or --n is required for tableaux")
+                _bounds_check(n, sum(shape))
+                tabs = enumerate_tableaux(shape, n)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
         for t in tabs:
             w = tableau_term(t, ctx)
             items.append((
@@ -371,6 +374,9 @@ def verify(suites, n_alias, max_n, max_size, seed, out):
             names, max_n=max_n, max_size=max_size, seed=seed)
     except KeyError as exc:
         raise click.UsageError(exc.args[0])
+    if not reports:
+        raise click.UsageError(
+            "the bounds select no instance of the chosen suites")
     _emit(verify_mod.report_lines(reports), out)
     if not verify_mod.all_passed(reports):
         raise CliError(

@@ -3,9 +3,9 @@
 Compositions are tuples of nonnegative ints (weak compositions); signed
 compositions allow negative entries.  This module has the evaluation-point
 machinery (the spectral vector a composition is tested against), the
-ordering used for triangular expansions, the symmetric-group plumbing
-(shortest permutation sorting a partition onto a composition, reduced
-words), and the dominance-style precedence order on compositions.
+symmetric-group plumbing (shortest permutation sorting a partition onto a
+composition, reduced words), and the statistics and paths of the
+shape-permuting operators.
 """
 
 from __future__ import annotations
@@ -130,50 +130,6 @@ def tilde_point(mu, ctx):
 
 
 # ---------------------------------------------------------------------------
-# orderings
-# ---------------------------------------------------------------------------
-
-
-def _dominance_lt_eq(lam, nu):
-    """Partitions of equal size: lam < nu in dominance (strict)."""
-    if lam == nu:
-        return False
-    s1 = s2 = 0
-    le_all = True
-    for a, b in zip(lam, nu):
-        s1 += a
-        s2 += b
-        if s1 > s2:
-            le_all = False
-            break
-    return le_all
-
-
-def comp_lt(kappa, nu):
-    """Strict order on compositions used for triangular expansions.
-
-    kappa < nu when sort(kappa) precedes sort(nu) (smaller size, or equal
-    size and dominance-smaller), or the sorted shapes agree and every
-    partial sum of kappa is >= that of nu with kappa != nu.  Antidominant
-    arrangements are maximal within an orbit.
-    """
-    ks, ns = sort_desc(kappa), sort_desc(nu)
-    if sum(kappa) != sum(nu):
-        return sum(kappa) < sum(nu)
-    if ks != ns:
-        return _dominance_lt_eq(ks, ns)
-    if kappa == nu:
-        return False
-    s1 = s2 = 0
-    for a, b in zip(kappa, nu):
-        s1 += a
-        s2 += b
-        if s1 < s2:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # symmetric group plumbing
 # ---------------------------------------------------------------------------
 
@@ -224,43 +180,6 @@ def word_from_partition(lam, mu):
     """Reduced word of shortest_perm(lam, mu), as s_i indices to apply in
     order starting from the polynomial indexed by lam."""
     return reduced_word(shortest_perm(lam, mu))
-
-
-# ---------------------------------------------------------------------------
-# precedence (dominance-with-matching) order
-# ---------------------------------------------------------------------------
-
-
-def precedes(mu, nu):
-    """mu precedes nu: there is a permutation pi with mu_i <= nu_{pi(i)}
-    for all i, strict whenever i > pi(i).
-
-    Decided as a perfect matching problem on the bipartite graph with an
-    edge i -> j whenever mu_i <= nu_j and (i <= j or mu_i < nu_j).
-    """
-    n = len(mu)
-    if len(nu) != n:
-        raise ValueError("compositions must have the same length")
-    adj = [
-        [j for j in range(n) if mu[i] <= nu[j] and (i <= j or mu[i] < nu[j])]
-        for i in range(n)
-    ]
-    match_of_j = [-1] * n
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if seen[j]:
-                continue
-            seen[j] = True
-            if match_of_j[j] < 0 or augment(match_of_j[j], seen):
-                match_of_j[j] = i
-                return True
-        return False
-
-    for i in range(n):
-        if not augment(i, [False] * n):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

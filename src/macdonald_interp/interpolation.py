@@ -18,8 +18,8 @@ homogeneous top part is the ASEP polynomial.  The symmetric family P*
 indexed by partitions is the orbit sum of f* over the rearrangements of
 the partition, so it comes from the same family.  Also here: the elementary
 interpolation products (0/1 types), the extended signed-index family, the
-hatted decomposition, the two-row recursion right-hand sides, and the q=1
-factorization checks.
+hatted decomposition, the two-row recursion right-hand sides, the
+characterization check of f*, and the q=1 factorization checks.
 """
 
 from __future__ import annotations
@@ -29,15 +29,12 @@ from functools import cache
 from .compositions import (
     absolute,
     arrangements,
-    comp_lt,
     compositions_upto,
     conjugate,
     fit_partition,
     is_packed,
     minus_one,
     partitions_of,
-    partitions_upto,
-    precedes,
     sort_desc,
     support,
     swap_pair,
@@ -159,7 +156,8 @@ class _Family:
     def extend(self, d):
         for s in range(self.size + 1, d + 1):
             # within a grade, types ascend in dominance order so that every
-            # comp_lt-smaller index is completed before it is needed
+            # index below in the triangular order is completed before it is
+            # needed
             def partial_sums(lam):
                 total, out = 0, []
                 for v in lam:
@@ -197,13 +195,6 @@ def solve_E_star(mu, ctx):
 E_star = solve_E_star
 
 
-def E_star_own_value(mu, ctx):
-    """Value of the interpolation polynomial at its own spectral point
-    (never zero)."""
-    mu = tuple(mu)
-    return _family(len(mu), ctx, sum(mu)).own[mu]
-
-
 @cache
 def solve_P_star(lam, n, ctx):
     """Symmetric interpolation polynomial in n variables: unit coefficient
@@ -234,51 +225,8 @@ def f_hom(mu, ctx):
 
 
 # ---------------------------------------------------------------------------
-# characterization checks
+# the characterization check
 # ---------------------------------------------------------------------------
-
-
-def vanishing_violations(poly, mu, ctx, extra=0):
-    """Spectral points of size <= |mu| (+extra) where poly fails to act
-    like the interpolation polynomial of mu.
-
-    Checks value 0 at every composition nu != mu with |nu| <= |mu|, value
-    nonzero at mu itself, and (for extra > 0) the precedence-driven
-    vanishing at larger compositions.
-    """
-    mu = tuple(mu)
-    n, d = len(mu), sum(mu)
-    bad = []
-    for nu in compositions_upto(d + extra, n):
-        v = poly.evaluate(tilde_point(nu, ctx))
-        if nu == mu:
-            if not v:
-                bad.append((nu, "vanishes at its own point"))
-        elif sum(nu) <= d:
-            if v:
-                bad.append((nu, "nonzero"))
-        elif not precedes(mu, nu):
-            if v:
-                bad.append((nu, "nonzero beyond degree"))
-    return bad
-
-
-def triangularity_violations(poly, mu):
-    """Monomials of poly not below mu in the triangular order."""
-    return [e for e in poly.terms if e != tuple(mu) and not comp_lt(e, tuple(mu))]
-
-
-def symmetric_vanishing_violations(poly, lam, n, ctx):
-    lam = tuple(lam) + (0,) * (n - len(lam))
-    bad = []
-    for nu in partitions_upto(sum(lam), n):
-        v = poly.evaluate(tilde_point(nu, ctx))
-        if nu == lam:
-            if not v:
-                bad.append((nu, "vanishes at its own point"))
-        elif v:
-            bad.append((nu, "nonzero"))
-    return bad
 
 
 def verify_characterization(g, mu, ctx):
@@ -302,16 +250,6 @@ def verify_characterization(g, mu, ctx):
         elif c:
             return False
     return True
-
-
-def extra_vanishing_check(mu, nu, ctx):
-    """True iff the precedence order explains the value of the
-    interpolation polynomial of mu at nu's spectral point: either mu
-    precedes nu, or the value is zero."""
-    if precedes(mu, nu):
-        return True
-    v = solve_E_star(mu, ctx).evaluate(tilde_point(nu, ctx))
-    return not v
 
 
 # ---------------------------------------------------------------------------

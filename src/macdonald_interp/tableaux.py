@@ -22,11 +22,21 @@ mirror its forbidden configurations:
   column, and a negative entry differs from the below-level entries in
   strictly taller columns to its left.
 
+Enumeration fills the diagram level by level from the bottom, each level
+a tuple of entries legal over the level below.  The type of a tableau is
+read off its bottom level, so the tableaux of one type come from the same
+recursion with the bottom level restricted: column c only takes positions
+a with mu_a = lam_c.
+
 `tab` / `tab_inverse` realize the bijection with signed queues of the
 rearranged type.  Tableau statistics (wrap counts, coinversion triples,
 label gaps, restricted boxes, leg/arm) recover the queue weight without
 replaying the pairing process, and a regrouped variant produces the
-integral normalization whose coefficients clear denominators.
+integral normalization whose coefficients clear denominators.  Its hook
+product depends only on the shape: the multiset of (leg, arm+1) over the
+primed boxes is the same for every filling.  That multiset is collected
+once per (lam, n), with its constancy asserted, and each scalar context
+multiplies its own factors from it.
 """
 
 from __future__ import annotations
@@ -216,8 +226,10 @@ def attack_violations(t):
 # ---------------------------------------------------------------------------
 
 
-def _level_fillings(diag, idx, below):
-    """All legal entry tuples for level idx over the level `below`."""
+def _level_fillings(diag, idx, below, mu=None):
+    """All legal entry tuples for level idx over the level `below`; with a
+    type mu, the bottom level puts each column c on a position a with
+    mu[a-1] == lam[c]."""
     m = diag.width(idx)
     lam = diag.lam
     classic = idx % 2 == 0
@@ -232,6 +244,8 @@ def _level_fillings(diag, idx, below):
             if a in used:
                 continue
             if top_here and prev_top is not None and a >= prev_top:
+                continue
+            if below is None and mu is not None and mu[a - 1] != lam[c]:
                 continue
             signs = (1,) if classic else (1, -1)
             for s in signs:
@@ -256,8 +270,9 @@ def _level_fillings(diag, idx, below):
     yield from rec(0, frozenset(), None)
 
 
-def enumerate_tableaux(lam, n):
-    """All signed queue tableaux of shape lam on the alphabet {+-1..+-n}."""
+def enumerate_tableaux(lam, n, mu=None):
+    """All signed queue tableaux of shape lam on the alphabet {+-1..+-n},
+    or only those of type mu when it is given."""
     diag = DoubledDiagram.for_shape(lam, n)
 
     def rec(levels):
@@ -270,25 +285,17 @@ def enumerate_tableaux(lam, n):
             yield QueueTableau(diag, cols)
             return
         below = levels[-1] if levels else None
-        for row in _level_fillings(diag, idx, below):
+        for row in _level_fillings(diag, idx, below, mu):
             yield from rec(levels + [row])
 
     return list(rec([]))
-
-
-@cache
-def _tableaux_by_type(lam, n):
-    groups = {}
-    for t in enumerate_tableaux(lam, n):
-        groups.setdefault(t.type_of(), []).append(t)
-    return groups
 
 
 def enumerate_tableaux_typed(lam, mu):
     """The tableaux of shape lam whose bottom level spells out type mu."""
     if sort_desc([p for p in mu if p]) != tuple(p for p in sort_desc(lam) if p):
         raise ValueError(f"type {tuple(mu)} does not rearrange {tuple(lam)}")
-    return list(_tableaux_by_type(lam, len(mu)).get(tuple(mu), []))
+    return enumerate_tableaux(lam, len(mu), mu)
 
 
 # ---------------------------------------------------------------------------
@@ -502,41 +509,41 @@ def tableaux_sum_typed(mu, ctx):
     return total
 
 
-def tableaux_sum(lam, n, ctx):
-    """Weight-generating sum over all tableaux of shape lam."""
-    total = XPoly(n, ctx)
-    for t in enumerate_tableaux(lam, n):
-        total = total + tableau_term(t, ctx)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # the integral form
 # ---------------------------------------------------------------------------
 
 
 @cache
-def hook_product(lam, n, ctx):
-    """Product of (1 - q^leg t^(arm+1)) over the primed boxes.
+def _hook_pairs(lam, n):
+    """The sorted (leg, arm+1) pairs over the primed boxes, one tuple for
+    the shape.
 
-    The per-box arm depends on the filling, but the product does not; it is
-    evaluated on every tableau of the shape and the agreement is asserted
-    (a mismatch would mean the statistics are broken).
+    The per-box arm depends on the filling, but the multiset of pairs does
+    not; it is read off every tableau of the shape and the agreement is
+    asserted (a mismatch would mean the statistics are broken).
     """
-    values = []
+    first = None
     for t in enumerate_tableaux(lam, n):
-        h = ctx.one
-        for c, idx in t.diagram.boxes():
-            if idx % 2:
-                h = h * ctx.binom(leg(t, c, idx), arm(t, c, idx) + 1)
-        values.append(h)
-    first = values[0] if values else ctx.one
-    bad = next((i for i, v in enumerate(values) if v != first), None)
-    if bad is not None:
-        raise ArithmeticError(
-            f"hook product differs between fillings 0 and {bad} "
-            f"of shape {tuple(lam)}: {first} vs {values[bad]}")
+        pairs = tuple(sorted(
+            (leg(t, c, idx), arm(t, c, idx) + 1)
+            for c, idx in t.diagram.boxes() if idx % 2
+        ))
+        if first is None:
+            first, witness = pairs, t
+        elif pairs != first:
+            raise ArithmeticError(
+                f"hook pairs of shape {tuple(lam)} differ between fillings "
+                f"{witness.columns} and {t.columns}: {first} vs {pairs}")
     return first
+
+
+def hook_product(lam, n, ctx):
+    """Product of (1 - q^leg t^(arm+1)) over the primed boxes."""
+    h = ctx.one
+    for a, b in _hook_pairs(lam, n):
+        h = h * ctx.binom(a, b)
+    return h
 
 
 def classical_hook(lam, ctx):
@@ -589,13 +596,6 @@ def integral_weight(t, ctx):
 
 def integral_term(t, ctx):
     return tableau_monomial(t, ctx) * integral_weight(t, ctx)
-
-
-def integral_tableaux_sum_typed(mu, ctx):
-    total = XPoly(len(mu), ctx)
-    for t in enumerate_tableaux_typed(sort_desc(mu), mu):
-        total = total + integral_term(t, ctx)
-    return total
 
 
 def integral_tableaux_sum(lam, n, ctx):

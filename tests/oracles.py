@@ -2,9 +2,17 @@
 
 Brute-force orders and permutations, symmetric-polynomial helpers, a dense
 solve of the vanishing conditions, second constructions of E* and of the
-signed-index family, and the queue generating sums weighed queue by
-queue.  No package route needs them.  Pytest does not collect this module;
-the test modules import it.
+signed-index family, the queue generating sums weighed queue by queue, and
+typed tableaux by filtering all tableaux of a shape.  No package route
+needs them.  Pytest does not collect this module; the test modules import
+it.
+
+Also here, because only the tests read them: the triangular order
+`comp_lt` and the precedence order `precedes` on compositions; the
+vanishing checks `vanishing_violations`, `triangularity_violations`,
+`symmetric_vanishing_violations` and `extra_vanishing_check`, and
+`E_star_own_value`; and the tableau sums `tableaux_sum` (all tableaux of a
+shape) and `integral_tableaux_sum_typed` (the integral form of one type).
 """
 
 from itertools import permutations
@@ -15,11 +23,14 @@ from macdonald_interp.compositions import (
     compositions_upto,
     k_stat,
     minus_one,
+    partitions_upto,
     sort_desc,
+    tilde_point,
     word_from_partition,
 )
 from macdonald_interp.hecke import shape_permute_star
 from macdonald_interp.interpolation import (
+    _family,
     _two_row_tops,
     f_hom,
     solve_E_star,
@@ -27,6 +38,12 @@ from macdonald_interp.interpolation import (
     wt_sign_monomial,
 )
 from macdonald_interp.queues import a_coeff, enumerate_mlq, enumerate_smlq
+from macdonald_interp.tableaux import (
+    enumerate_tableaux,
+    enumerate_tableaux_typed,
+    integral_term,
+    tableau_term,
+)
 from macdonald_interp.xpoly import XPoly
 
 
@@ -64,7 +81,7 @@ def apply_word_to_comp(lam, word):
 
 
 def precedes_brute(mu, nu):
-    """``compositions.precedes`` by trying every permutation pi."""
+    """``precedes`` by trying every permutation pi."""
     n = len(mu)
     for pi in permutations(range(n)):
         if all(
@@ -73,6 +90,77 @@ def precedes_brute(mu, nu):
         ):
             return True
     return False
+
+
+def _dominance_lt_eq(lam, nu):
+    """Partitions of equal size: lam < nu in dominance (strict)."""
+    if lam == nu:
+        return False
+    s1 = s2 = 0
+    le_all = True
+    for a, b in zip(lam, nu):
+        s1 += a
+        s2 += b
+        if s1 > s2:
+            le_all = False
+            break
+    return le_all
+
+
+def comp_lt(kappa, nu):
+    """Strict order on compositions used for triangular expansions.
+
+    kappa < nu when sort(kappa) precedes sort(nu) (smaller size, or equal
+    size and dominance-smaller), or the sorted shapes agree and every
+    partial sum of kappa is >= that of nu with kappa != nu.  Antidominant
+    arrangements are maximal within an orbit.
+    """
+    ks, ns = sort_desc(kappa), sort_desc(nu)
+    if sum(kappa) != sum(nu):
+        return sum(kappa) < sum(nu)
+    if ks != ns:
+        return _dominance_lt_eq(ks, ns)
+    if kappa == nu:
+        return False
+    s1 = s2 = 0
+    for a, b in zip(kappa, nu):
+        s1 += a
+        s2 += b
+        if s1 < s2:
+            return False
+    return True
+
+
+def precedes(mu, nu):
+    """mu precedes nu: there is a permutation pi with mu_i <= nu_{pi(i)}
+    for all i, strict whenever i > pi(i).
+
+    Decided as a perfect matching problem on the bipartite graph with an
+    edge i -> j whenever mu_i <= nu_j and (i <= j or mu_i < nu_j).
+    """
+    n = len(mu)
+    if len(nu) != n:
+        raise ValueError("compositions must have the same length")
+    adj = [
+        [j for j in range(n) if mu[i] <= nu[j] and (i <= j or mu[i] < nu[j])]
+        for i in range(n)
+    ]
+    match_of_j = [-1] * n
+
+    def augment(i, seen):
+        for j in adj[i]:
+            if seen[j]:
+                continue
+            seen[j] = True
+            if match_of_j[j] < 0 or augment(match_of_j[j], seen):
+                match_of_j[j] = i
+                return True
+        return False
+
+    for i in range(n):
+        if not augment(i, [False] * n):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +253,71 @@ def extended_f_via_tops(alpha, ctx):
 
 
 # ---------------------------------------------------------------------------
+# characterization checks
+# ---------------------------------------------------------------------------
+
+
+def E_star_own_value(mu, ctx):
+    """Value of the interpolation polynomial at its own spectral point
+    (never zero)."""
+    mu = tuple(mu)
+    return _family(len(mu), ctx, sum(mu)).own[mu]
+
+
+def vanishing_violations(poly, mu, ctx, extra=0):
+    """Spectral points of size <= |mu| (+extra) where poly fails to act
+    like the interpolation polynomial of mu.
+
+    Checks value 0 at every composition nu != mu with |nu| <= |mu|, value
+    nonzero at mu itself, and (for extra > 0) the precedence-driven
+    vanishing at larger compositions.
+    """
+    mu = tuple(mu)
+    n, d = len(mu), sum(mu)
+    bad = []
+    for nu in compositions_upto(d + extra, n):
+        v = poly.evaluate(tilde_point(nu, ctx))
+        if nu == mu:
+            if not v:
+                bad.append((nu, "vanishes at its own point"))
+        elif sum(nu) <= d:
+            if v:
+                bad.append((nu, "nonzero"))
+        elif not precedes(mu, nu):
+            if v:
+                bad.append((nu, "nonzero beyond degree"))
+    return bad
+
+
+def triangularity_violations(poly, mu):
+    """Monomials of poly not below mu in the triangular order."""
+    return [e for e in poly.terms if e != tuple(mu) and not comp_lt(e, tuple(mu))]
+
+
+def symmetric_vanishing_violations(poly, lam, n, ctx):
+    lam = tuple(lam) + (0,) * (n - len(lam))
+    bad = []
+    for nu in partitions_upto(sum(lam), n):
+        v = poly.evaluate(tilde_point(nu, ctx))
+        if nu == lam:
+            if not v:
+                bad.append((nu, "vanishes at its own point"))
+        elif v:
+            bad.append((nu, "nonzero"))
+    return bad
+
+
+def extra_vanishing_check(mu, nu, ctx):
+    """True iff the precedence order explains the value of the
+    interpolation polynomial of mu at nu's spectral point: either mu
+    precedes nu, or the value is zero."""
+    if precedes(mu, nu):
+        return True
+    v = solve_E_star(mu, ctx).evaluate(tilde_point(nu, ctx))
+    return not v
+
+
+# ---------------------------------------------------------------------------
 # queue generating sums, one queue at a time
 # ---------------------------------------------------------------------------
 
@@ -187,3 +340,31 @@ def F_hom_by_queues(mu, ctx):
     """``queues.F_hom`` as the sum of the weights of the homogeneous
     queues."""
     return _queue_sum(enumerate_mlq(mu), len(mu), ctx)
+
+
+# ---------------------------------------------------------------------------
+# tableau sums
+# ---------------------------------------------------------------------------
+
+
+def tableaux_of_type_by_filter(lam, mu):
+    """``tableaux.enumerate_tableaux_typed`` by keeping the tableaux of
+    shape lam whose type is mu."""
+    return [t for t in enumerate_tableaux(lam, len(mu))
+            if t.type_of() == tuple(mu)]
+
+
+def tableaux_sum(lam, n, ctx):
+    """Weight-generating sum over all tableaux of shape lam."""
+    total = XPoly(n, ctx)
+    for t in enumerate_tableaux(lam, n):
+        total = total + tableau_term(t, ctx)
+    return total
+
+
+def integral_tableaux_sum_typed(mu, ctx):
+    """Hook-scaled weight-generating sum over the tableaux of type mu."""
+    total = XPoly(len(mu), ctx)
+    for t in enumerate_tableaux_typed(sort_desc(mu), mu):
+        total = total + integral_term(t, ctx)
+    return total

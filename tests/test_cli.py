@@ -202,6 +202,17 @@ def test_enumerate_bounds_exit_4(runner):
     assert too_big.exit_code == 4
 
 
+@pytest.mark.parametrize("args", [
+    ("--lambda", "2,1", "--type", "0,2"),  # type does not rearrange shape
+    ("--lambda", "1,2", "--n", "2"),       # shape not decreasing
+    ("--lambda", "2,1,1", "--n", "2"),     # shape does not fit n
+])
+def test_enumerate_tableaux_malformed_shape_exit_2(runner, args):
+    result = invoke(runner, "enumerate", "tableaux", *args)
+    assert result.exit_code == 2
+    assert "Error:" in result.output
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -216,6 +227,16 @@ def test_verify_reports_and_exit(runner):
 
 def test_verify_unknown_suite_exit_2(runner):
     assert invoke(runner, "verify", "bogus").exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("main-theorem", "--max-n", "1"),
+    ("integral-form", "--max-size", "-2"),
+])
+def test_verify_bounds_selecting_nothing_exit_2(runner, args):
+    result = invoke(runner, "verify", *args)
+    assert result.exit_code == 2
+    assert '"checked"' not in result.output
 
 
 def test_verify_n_aliases_max_n(runner):

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 from macdonald_interp.compositions import (
     absolute,
     arrangements,
-    comp_lt,
     compositions_of,
     compositions_upto,
     conjugate,
@@ -15,7 +14,6 @@ from macdonald_interp.compositions import (
     minus_one,
     partitions_of,
     partitions_upto,
-    precedes,
     r_stat,
     reduced_word,
     shortest_perm,
@@ -28,7 +26,14 @@ from macdonald_interp.compositions import (
 )
 from macdonald_interp.scalars import SYMBOLIC, RatQT
 
-from oracles import apply_word_to_comp, perm_act, perm_length, precedes_brute
+from oracles import (
+    apply_word_to_comp,
+    comp_lt,
+    perm_act,
+    perm_length,
+    precedes,
+    precedes_brute,
+)
 
 comps = st.lists(st.integers(0, 4), min_size=1, max_size=5).map(tuple)
 

@@ -1,14 +1,17 @@
-"""Every module-level import of the package is read by its module, and no
-module catches ImportError to fall back on another backend."""
+"""Every module-level import of the package is read by its module, no
+module catches ImportError to fall back on another backend, and every
+top-level function and class of the package is read outside the tests."""
 
 import ast
 import glob
 import os
+import re
+from functools import cache
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "src", "macdonald_interp")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "macdonald_interp")
 
 
 def unused_imports(tree):
@@ -51,3 +54,58 @@ def test_module_has_no_import_fallback(path):
     with open(path) as f:
         tree = ast.parse(f.read())
     assert catches_import_error(tree) == []
+
+
+def names_read(node):
+    """Identifiers that node reads: loaded names, attribute names, and the
+    parts of dotted-name strings (the tracer's targets are such strings)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and re.fullmatch(r"[A-Za-z_][\w.]*", n.value):
+            out.update(n.value.split("."))
+    return out
+
+
+def registered(node):
+    """A CLI command, read by the decorator that registers it."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in node.decorator_list)
+
+
+@cache
+def _read_outside_tests():
+    """Names read by the package (outside each definition's own body), the
+    benchmark modules and the scripts."""
+    read = set()
+    for path in glob.glob(os.path.join(PACKAGE, "*.py")):
+        with open(path) as f:
+            for node in ast.parse(f.read()).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    read |= names_read(node) - {node.name}
+                else:
+                    read |= names_read(node)
+    for pattern in ("perfbench/*.py", "scripts/*.py"):
+        for path in glob.glob(os.path.join(ROOT, pattern)):
+            with open(path) as f:
+                read |= names_read(ast.parse(f.read()))
+    return read
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(PACKAGE, "*.py"))),
+    ids=os.path.basename)
+def test_module_defines_nothing_only_tests_read(path):
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    read = _read_outside_tests()
+    unread = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not registered(node) and node.name not in read]
+    assert unread == []

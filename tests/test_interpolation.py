@@ -16,11 +16,9 @@ from macdonald_interp.compositions import (
 from macdonald_interp.hecke import hecke_T, transition_row
 from macdonald_interp.interpolation import (
     E_star,
-    E_star_own_value,
     P_star,
     e_star_k,
     extended_f,
-    extra_vanishing_check,
     f_hom,
     f_star,
     factorization_q1_check,
@@ -32,9 +30,6 @@ from macdonald_interp.interpolation import (
     solve_square,
     support_product,
     support_sum_check,
-    symmetric_vanishing_violations,
-    triangularity_violations,
-    vanishing_violations,
     verify_characterization,
     zero_one_f_star,
 )
@@ -50,10 +45,15 @@ from macdonald_interp.scalars import (
 from macdonald_interp.xpoly import XPoly
 
 from oracles import (
+    E_star_own_value,
     E_star_via_permute,
     extended_f_via_tops,
+    extra_vanishing_check,
     is_symmetric,
     solve_E_star_dense,
+    symmetric_vanishing_violations,
+    triangularity_violations,
+    vanishing_violations,
 )
 from test_queues import golden_f_star_02
 

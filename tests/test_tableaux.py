@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macdonald_interp.compositions import arrangements, sort_desc
+from macdonald_interp import tableaux
+from macdonald_interp.compositions import (
+    arrangements,
+    partitions_upto,
+    sort_desc,
+)
 from macdonald_interp.interpolation import f_star, solve_P_star
 from macdonald_interp.queues import SignedQueue, enumerate_smlq
 from macdonald_interp.scalars import SYMBOLIC, SpecializedScalars, specialized
@@ -18,7 +23,6 @@ from macdonald_interp.tableaux import (
     filling_violations,
     hook_product,
     integral_tableaux_sum,
-    integral_tableaux_sum_typed,
     integral_term,
     integral_weight,
     integrality_check,
@@ -31,11 +35,16 @@ from macdonald_interp.tableaux import (
     tableau_monomial,
     tableau_term,
     tableau_weight,
-    tableaux_sum,
     tableaux_sum_typed,
 )
 from macdonald_interp.verify import figure_queue, figure_weight
 from macdonald_interp.xpoly import XPoly
+
+from oracles import (
+    integral_tableaux_sum_typed,
+    tableaux_of_type_by_filter,
+    tableaux_sum,
+)
 
 FIGURE_COLUMNS = (
     (7, -5, 5, -4, 3, -2),
@@ -77,6 +86,15 @@ def test_typed_enumeration_partitions_shape_enumeration():
     assert {t.columns for v in by_type.values() for t in v} == {
         t.columns for t in all_tabs
     }
+
+
+@pytest.mark.parametrize("n, top", [(1, 4), (2, 4), (3, 4), (4, 3)])
+def test_typed_enumeration_matches_filtered_shape_enumeration(n, top):
+    # same tableaux in the same order as filtering all of the shape by type
+    for lam in partitions_upto(top, n):
+        for mu in arrangements(lam):
+            assert enumerate_tableaux_typed(lam, mu) == \
+                tableaux_of_type_by_filter(lam, mu)
 
 
 def test_typed_enumeration_rejects_wrong_shape():
@@ -283,6 +301,20 @@ def test_hook_product_is_filling_independent_and_classical():
                    ((2, 2), 3), ((1, 1, 1), 3)]:
         assert hook_product(lam, n, ctx) == classical_hook(lam, ctx)
     assert hook_product((), 2, ctx) == ctx.one
+
+
+def test_hook_product_rejects_filling_dependent_pairs(monkeypatch):
+    # an arm that reads the entries breaks constancy: the error names the
+    # shape and nothing is cached for it
+    tableaux._hook_pairs.cache_clear()
+    monkeypatch.setattr(
+        tableaux, "arm", lambda t, c, idx: abs(t.entry(c, idx)))
+    try:
+        with pytest.raises(ArithmeticError, match=r"shape \(1,\)"):
+            hook_product((1,), 2, SYMBOLIC)
+        assert tableaux._hook_pairs.cache_info().currsize == 0
+    finally:
+        tableaux._hook_pairs.cache_clear()
 
 
 def test_integral_weight_is_hook_times_weight():
