@@ -1,3 +1,6 @@
+import hashlib
+from itertools import chain
+
 import pytest
 
 from macdonald_interp import queues
@@ -19,7 +22,7 @@ from macdonald_interp.queues import (
     multiset_placements,
     signed_matchings,
 )
-from macdonald_interp.render import poly_text
+from macdonald_interp.render import poly_text, queue_text
 from macdonald_interp.scalars import (
     QQ, SYMBOLIC, SpecializedScalars, specialized)
 from macdonald_interp.xpoly import XPoly
@@ -259,3 +262,18 @@ def test_signed_matchings_no_wrap():
 def test_classic_matchings_forced_trivial():
     ms = list(classic_matchings((2, 2), (2, -2)))
     assert ms == [{1: 1, 2: 2}]
+
+
+def test_listing_order_is_pinned():
+    """`enumerate`, `render` and the verify witnesses print queues in the
+    order the enumerators list them; this hash fixes that order."""
+    digest = hashlib.sha256()
+    count = 0
+    for n in (2, 3):
+        for mu in compositions_upto(3, n):
+            for Q in chain(enumerate_smlq(mu), enumerate_mlq(mu)):
+                digest.update((queue_text(Q) + "\n").encode())
+                count += 1
+    assert count == 1334
+    assert digest.hexdigest() == (
+        "01ca678405d4bb0dda9af1f92d8263da24a39b62f669e344a37a208abdecfbfa")
