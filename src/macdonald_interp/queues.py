@@ -19,16 +19,24 @@ per absolute label with row r below, never wrapping (partner column >=
 ball column); each classic row r pairs per label with row (r-1)' below,
 wrapping allowed.
 
-Weights: positive primed balls at column i contribute x_i, negative primed
-balls in row r' contribute -q^(r-1)/t^(n-1); classic-row balls contribute
-nothing (in homogeneous queues every ball contributes x_i).  Nontrivial
-classic pairings from row r with label a contribute
-(1-t) t^skipped / (1 - q^(a-r+1) t^free), times q^(a-r+1) when they wrap,
-where free counts the not-yet-matched lower balls at placement time
-(processing labels downward, trivial pairs first, then right to left) and
-skipped counts the free balls strictly between ball and partner.
-Nontrivial primed pairings contribute +-(1-t) t^(skipped+empty) with the
-sign of the upper ball; their skipped/empty counts are position-static.
+The row plan states this structure once: `_signed_rows(mu)` lists the rows
+of a signed queue above its bottom row as (primed, contents, r), that is
+1', 2, 2', ..., L', and `_classic_rows(mu)` lists rows 2, ..., L of a
+homogeneous queue.  Enumeration (`_stack`), the row walk (`F_star`,
+`F_hom`) and the per-queue weights (`weight_parts`) all read it.
+
+Weights: the balls of primed row r' contribute `_primed_factor`: x_i for a
+positive ball at column i and -q^(r-1)/t^(n-1) for a negative one;
+classic-row balls contribute nothing (in homogeneous queues every ball
+contributes x_i).  Nontrivial classic pairings from row r with label a
+contribute (1-t) t^skipped / (1 - q^(a-r+1) t^free), times q^(a-r+1) when
+they wrap, where free counts the not-yet-matched lower balls at placement
+time and skipped counts the free balls strictly between ball and partner.
+Labels are placed downward, trivial pairs first, then the nontrivial ones
+right to left: by their own column (the original order) or by the top
+column of their strand, `tops` (the strand order).  Nontrivial primed
+pairings contribute +-(1-t) t^(skipped+empty) with the sign of the upper
+ball; their skipped/empty counts are position-static.
 
 A queue's weight is a product of factors that each read one layer (two
 adjacent rows and their matching) or one primed row.  So the generating
@@ -50,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from operator import add
 
 from .compositions import absolute, arrangements, fit_partition, sort_desc
@@ -122,30 +130,9 @@ def signed_row_arrangements(values, lower, n):
     """Signed placements of `values` over a classic row, per the primed
     sitting rules."""
     for arr in multiset_placements(values, n):
-        options = []
-        ok = True
-        for c, v in enumerate(arr):
-            if v == 0:
-                continue
-            opts = signed_sign_options(v, lower[c])
-            if not opts:
-                ok = False
-                break
-            options.append((c, v, opts))
-        if not ok:
-            continue
-
-        def rec(k, row):
-            if k == len(options):
-                yield tuple(row)
-                return
-            c, v, opts = options[k]
-            for s in opts:
-                row[c] = s * v
-                yield from rec(k + 1, row)
-            row[c] = 0
-
-        yield from rec(0, list(arr))
+        yield from product(*(
+            [s * v for s in signed_sign_options(v, w)] if v else (0,)
+            for v, w in zip(arr, lower)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +140,26 @@ def signed_row_arrangements(values, lower, n):
 # ---------------------------------------------------------------------------
 
 
-def _bijections(uppers, avail):
-    """All bijections uppers -> avail lists (as dicts)."""
-    if len(uppers) != len(avail):
-        return
-    for perm in permutations(avail):
-        yield dict(zip(uppers, perm))
+def _label_pairings(ups, lows, forced):
+    """The pairings of one label's balls (columns `ups`) with its partners
+    (columns `lows`), as dicts: each ball in `forced` pairs with its own
+    column, and the others biject onto the remaining partners."""
+    free = [j for j in ups if j not in forced]
+    avail = [k for k in lows if k not in forced]
+    if len(free) != len(avail):
+        return []
+    return [{**{j: j for j in forced}, **dict(zip(free, perm))}
+            for perm in permutations(avail)]
+
+
+def _merge(choices):
+    """One matching per choice of a pairing for each label, the first
+    label varying fastest."""
+    for combo in product(*reversed(choices)):
+        m = {}
+        for part in reversed(combo):
+            m.update(part)
+        yield m
 
 
 def classic_matchings(upper, lower):
@@ -169,31 +170,13 @@ def classic_matchings(upper, lower):
     trivial pairing; wrapping is allowed.  Lower balls of labels absent
     above stay unpaired.  Yields {upper_col: lower_col} (1-based).
     """
-    labels = sorted({v for v in upper if v}, reverse=True)
-    per_label = []
-    for a in labels:
-        ups = [c + 1 for c, v in enumerate(upper) if v == a]
-        lows = [c + 1 for c, v in enumerate(lower) if abs(v) == a]
-        if len(ups) != len(lows):
-            return
-        forced = {j: j for j in ups if abs(lower[j - 1]) == a}
-        free_up = [j for j in ups if j not in forced]
-        avail = [w for w in lows if w not in forced]
-        per_label.append((forced, free_up, avail))
-
-    def rec(k):
-        if k == len(per_label):
-            yield {}
-            return
-        forced, free_up, avail = per_label[k]
-        for rest in rec(k + 1):
-            for bij in _bijections(free_up, avail):
-                m = dict(forced)
-                m.update(bij)
-                m.update(rest)
-                yield m
-
-    yield from rec(0)
+    choices = []
+    for a in sorted({v for v in upper if v}, reverse=True):
+        ups = [j for j, v in enumerate(upper, 1) if v == a]
+        choices.append(_label_pairings(
+            ups, [k for k, v in enumerate(lower, 1) if abs(v) == a],
+            [j for j in ups if abs(lower[j - 1]) == a]))
+    yield from _merge(choices)
 
 
 def signed_matchings(upper, lower):
@@ -203,37 +186,15 @@ def signed_matchings(upper, lower):
     never wrapping (partner column >= ball column); a positive ball sitting
     on its own label is forced to pair trivially.
     """
-    labels = sorted({abs(v) for v in upper if v}, reverse=True)
-    per_label = []
-    for a in labels:
-        ups = [c + 1 for c, v in enumerate(upper) if abs(v) == a]
-        lows = [c + 1 for c, v in enumerate(lower) if v == a]
-        if len(ups) != len(lows):
-            return
-        forced = {
-            j: j
-            for j in ups
-            if upper[j - 1] > 0 and lower[j - 1] == a
-        }
-        free_up = [j for j in ups if j not in forced]
-        avail = [w for w in lows if w not in forced]
-        per_label.append((forced, free_up, avail))
-
-    def rec(k):
-        if k == len(per_label):
-            yield {}
-            return
-        forced, free_up, avail = per_label[k]
-        for rest in rec(k + 1):
-            for bij in _bijections(free_up, avail):
-                if any(w < j for j, w in bij.items()):
-                    continue
-                m = dict(forced)
-                m.update(bij)
-                m.update(rest)
-                yield m
-
-    yield from rec(0)
+    choices = []
+    for a in sorted({abs(v) for v in upper if v}, reverse=True):
+        ups = [j for j, v in enumerate(upper, 1) if abs(v) == a]
+        pairings = _label_pairings(
+            ups, [k for k, v in enumerate(lower, 1) if v == a],
+            [j for j in ups if upper[j - 1] > 0 and lower[j - 1] == a])
+        choices.append([m for m in pairings
+                        if all(k >= j for j, k in m.items())])
+    yield from _merge(choices)
 
 
 # ---------------------------------------------------------------------------
@@ -277,34 +238,26 @@ def signed_layer_weight(upper, lower, matching, ctx):
     return total
 
 
-def classic_layer_weight(upper, lower, matching, r, ctx,
-                         order="original", strand_top=None, row_idx=None):
+def classic_layer_weight(upper, lower, matching, r, ctx, tops=None):
     """Product of pairing weights of one classic layer with upper row r.
 
-    Processes labels downward; within a label, trivial pairings are marked
-    first, then the nontrivial ones right to left ("original") or by their
-    strand's top ball, rightmost first ("strand").  A nontrivial pairing
-    j -> k of label a contributes
+    Processes labels downward.  Within a label the trivial pairings are
+    marked first, then the nontrivial ones from right to left: by the ball's
+    column j, or by tops[j] when `tops` is given (the top column of the
+    strand through the ball at column j, the strand order).  A nontrivial
+    pairing j -> k of label a contributes
     (1-t) t^skipped / (1 - q^(a-r+1) t^free), and q^(a-r+1) when k < j.
     """
     n = len(upper)
+    key = None if tops is None else tops.__getitem__
     matched = set()
     total = ctx.one
     one_minus_t = ctx.binom(0, 1)
     for a in sorted({v for v in upper if v}, reverse=True):
         ups = [j for j in range(1, n + 1) if upper[j - 1] == a]
-        nontrivial = []
-        for j in ups:
-            if matching[j] == j:
-                matched.add(j)
-            else:
-                nontrivial.append(j)
-        if order == "original":
-            nontrivial.sort(reverse=True)
-        elif order == "strand":
-            nontrivial.sort(key=lambda j: -strand_top[(row_idx, j)])
-        else:
-            raise ValueError(f"unknown pairing order {order!r}")
+        matched.update(j for j in ups if matching[j] == j)
+        nontrivial = sorted((j for j in ups if matching[j] != j),
+                            key=key, reverse=True)
         e = a - r + 1
         for j in nontrivial:
             k = matching[j]
@@ -333,6 +286,36 @@ def row_multisets(lam):
     return [tuple(p for p in lam if p >= r) for r in range(1, L + 1)]
 
 
+def _signed_rows(mu):
+    """The rows of a signed queue of type mu above its bottom row, bottom
+    up, as (primed, contents, r): rows 1', 2, 2', ..., L'."""
+    return [(primed, values, r)
+            for r, values in enumerate(row_multisets(sort_desc(mu)), 1)
+            for primed in (False, True) if primed or r > 1]
+
+
+def _classic_rows(mu):
+    """The rows of a homogeneous queue of type mu above its bottom row,
+    bottom up, as (False, contents, r): rows 2, ..., L."""
+    return [(False, values, r)
+            for r, values in enumerate(row_multisets(sort_desc(mu)), 1)
+            if r > 1]
+
+
+def _balls(row):
+    """Exponent vector with x_c for each positive ball of row."""
+    return tuple(1 if v > 0 else 0 for v in row)
+
+
+def _primed_factor(row, r, ctx):
+    """The balls of primed row r' as (exponents, scalar): x_c for each
+    positive ball at column c, -q^(r-1)/t^(n-1) for each negative ball."""
+    k = sum(1 for v in row if v < 0)
+    if not k:
+        return _balls(row), ctx.one
+    return _balls(row), ctx.qt(k * (r - 1), -k * (len(row) - 1), (-1) ** k)
+
+
 @dataclass(frozen=True)
 class SignedQueue:
     """Rows bottom-up 1, 1', 2, 2', ..., L, L' with per-layer matchings.
@@ -346,33 +329,17 @@ class SignedQueue:
     rows: tuple
     matchings: tuple
 
-    def matching_dict(self, layer):
-        return dict(self.matchings[layer])
-
-    def ball_weight(self, ctx):
-        """(exponent vector, scalar) from the primed-row balls."""
-        exps = [0] * self.n
-        scalar = ctx.one
-        for idx in range(1, len(self.rows), 2):
-            r = (idx + 1) // 2
-            for c, v in enumerate(self.rows[idx]):
-                if v > 0:
-                    exps[c] += 1
-                elif v < 0:
-                    scalar = scalar * ctx.qt(r - 1, -(self.n - 1), -1)
-        return tuple(exps), scalar
-
     def strands(self):
         """Maps ball -> strand and strand data, one strand per part.
 
         Returns (strand_of, tops) where strand_of[(row_idx, col)] is the
         0-based strand index (parts sorted decreasingly, equal sizes taking
-        top balls right to left) and tops[(row_idx, col)] is the top-row
+        top balls right to left) and tops[row_idx][col] is the top-row
         column of that ball's strand.
         """
         lam = sort_desc([abs(v) for v in self.rows[0] if v])
         strand_of = {}
-        tops = {}
+        tops = [{} for _ in self.rows]
         # group strands by part size, largest first; within a size, top
         # balls right to left
         c = 0
@@ -386,33 +353,33 @@ class SignedQueue:
                 col = j
                 for idx in range(top_idx, -1, -1):
                     strand_of[(idx, col)] = c
-                    tops[(idx, col)] = j
+                    tops[idx][col] = j
                     if idx > 0:
-                        col = self.matching_dict(idx - 1)[col]
+                        col = dict(self.matchings[idx - 1])[col]
                 c += 1
         return strand_of, tops
 
-    def pairing_weight(self, ctx, order="original"):
-        total = ctx.one
-        strand_top = None
-        if order == "strand":
-            _, strand_top = self.strands()
-        for layer in range(len(self.rows) - 1):
-            upper = self.rows[layer + 1]
-            lower = self.rows[layer]
-            m = self.matching_dict(layer)
-            if layer % 2 == 0:
-                total = total * signed_layer_weight(upper, lower, m, ctx)
-            else:
-                r = (layer + 1) // 2 + 1
-                total = total * classic_layer_weight(
-                    upper, lower, m, r, ctx,
-                    order=order, strand_top=strand_top, row_idx=layer + 1)
-        return total
-
     def weight_parts(self, ctx, order="original"):
-        exps, scal = self.ball_weight(ctx)
-        return exps, scal * self.pairing_weight(ctx, order=order)
+        """(exponents, scalar) of the weight: the primed balls' factors
+        times every layer's pairing weights, the classic pairings placed
+        in the "original" or the "strand" order."""
+        if order not in ("original", "strand"):
+            raise ValueError(f"unknown pairing order {order!r}")
+        tops = self.strands()[1] if order == "strand" else None
+        exps = (0,) * self.n
+        total = ctx.one
+        for idx, (primed, _, r) in enumerate(_signed_rows(self.rows[0]), 1):
+            upper, lower = self.rows[idx], self.rows[idx - 1]
+            m = dict(self.matchings[idx - 1])
+            if primed:
+                balls, factor = _primed_factor(upper, r, ctx)
+                exps = tuple(map(add, exps, balls))
+                total = total * factor * signed_layer_weight(
+                    upper, lower, m, ctx)
+            else:
+                total = total * classic_layer_weight(
+                    upper, lower, m, r, ctx, tops and tops[idx])
+        return exps, total
 
     def weight(self, ctx, order="original"):
         exps, scal = self.weight_parts(ctx, order=order)
@@ -427,41 +394,32 @@ class Queue:
     rows: tuple
     matchings: tuple
 
-    def matching_dict(self, layer):
-        return dict(self.matchings[layer])
-
     def weight_parts(self, ctx):
-        exps = [0] * self.n
-        for row in self.rows:
-            for c, v in enumerate(row):
-                if v:
-                    exps[c] += 1
+        exps = tuple(map(sum, zip(*map(_balls, self.rows))))
         total = ctx.one
-        for layer in range(len(self.rows) - 1):
+        for idx, (_, _, r) in enumerate(_classic_rows(self.rows[0]), 1):
             total = total * classic_layer_weight(
-                self.rows[layer + 1], self.rows[layer],
-                self.matching_dict(layer), layer + 2, ctx)
-        return tuple(exps), total
+                self.rows[idx], self.rows[idx - 1],
+                dict(self.matchings[idx - 1]), r, ctx)
+        return exps, total
 
     def weight(self, ctx):
         exps, scal = self.weight_parts(ctx)
         return XPoly(self.n, ctx, {exps: scal})
 
 
-def enumerate_smlq(mu):
-    """All signed queues of type mu."""
+def _stack(mu, rows, make):
+    """Every queue make(n, rows, matchings) with bottom row mu and the
+    planned rows (primed, contents, r) stacked on it, bottom up."""
     n = len(mu)
-    contents = row_multisets(sort_desc(mu))
-    depth = 2 * len(contents)
 
-    def rec(rows, matchings):
-        idx = len(rows)
-        if idx == depth:
-            yield SignedQueue(n, tuple(rows), tuple(matchings))
+    def rec(stacked, matchings):
+        if len(stacked) > len(rows):
+            yield make(n, tuple(stacked), tuple(matchings))
             return
-        lower = rows[-1]
-        values = contents[(idx - 1) // 2] if idx % 2 else contents[idx // 2]
-        if idx % 2:
+        primed, values, _ = rows[len(stacked) - 1]
+        lower = stacked[-1]
+        if primed:
             arrs = signed_row_arrangements(values, lower, n)
             matcher = signed_matchings
         else:
@@ -469,33 +427,20 @@ def enumerate_smlq(mu):
             matcher = classic_matchings
         for arr in arrs:
             for m in matcher(arr, lower):
-                yield from rec(rows + [arr], matchings + [tuple(sorted(m.items()))])
+                yield from rec(stacked + [arr],
+                               matchings + [tuple(sorted(m.items()))])
 
-    if depth == 0:
-        yield SignedQueue(n, (tuple(mu),), ())
-        return
-    yield from rec([tuple(mu)], [])
+    return rec([tuple(mu)], [])
+
+
+def enumerate_smlq(mu):
+    """All signed queues of type mu."""
+    yield from _stack(mu, _signed_rows(mu), SignedQueue)
 
 
 def enumerate_mlq(mu):
     """All homogeneous queues of type mu."""
-    n = len(mu)
-    contents = row_multisets(sort_desc(mu))
-
-    def rec(rows, matchings):
-        idx = len(rows)
-        if idx == len(contents):
-            yield Queue(n, tuple(rows), tuple(matchings))
-            return
-        lower = rows[-1]
-        for arr in classic_row_arrangements(contents[idx], lower, n):
-            for m in classic_matchings(arr, lower):
-                yield from rec(rows + [arr], matchings + [tuple(sorted(m.items()))])
-
-    if not contents:
-        yield Queue(n, (tuple(mu),), ())
-        return
-    yield from rec([tuple(mu)], [])
+    yield from _stack(mu, _classic_rows(mu), Queue)
 
 
 # ---------------------------------------------------------------------------
@@ -528,26 +473,17 @@ def classic_layer_sum(upper, lower, r, ctx):
                     for m in classic_matchings(upper, lower)], ctx)
 
 
-def _balls(row):
-    """Exponent vector with x_c for each positive ball of row."""
-    return tuple(1 if v > 0 else 0 for v in row)
-
-
 @cache
 def _primed_steps(values, lower, r, ctx):
     """The primed rows r' of `values` over classic row `lower`, as (their
-    absolute values, exponents, weight): the layer sum times x_c per
-    positive ball and -q^(r-1)/t^(n-1) per negative ball."""
-    n = len(lower)
-    negative = ctx.qt(r - 1, -(n - 1), -1)
+    absolute values, exponents, weight): the layer sum times the
+    `_primed_factor` of the row."""
     steps = []
-    for arr in signed_row_arrangements(values, lower, n):
+    for arr in signed_row_arrangements(values, lower, len(lower)):
         w = signed_layer_sum(arr, lower, ctx)
         if w:
-            for v in arr:
-                if v < 0:
-                    w = w * negative
-            steps.append((absolute(arr), _balls(arr), w))
+            balls, factor = _primed_factor(arr, r, ctx)
+            steps.append((absolute(arr), balls, w * factor))
     return tuple(steps)
 
 
@@ -605,11 +541,8 @@ def _sums(groups, ctx):
 def F_star(mu, ctx):
     """Generating sum of the signed queues of type mu: rows 1', 2, 2', ...,
     L' stacked on mu one at a time."""
-    layers = []
-    for r, values in enumerate(row_multisets(sort_desc(mu)), 1):
-        if r > 1:
-            layers.append((_classic_steps, values, r))
-        layers.append((_primed_steps, values, r))
+    layers = [(_primed_steps if primed else _classic_steps, values, r)
+              for primed, values, r in _signed_rows(mu)]
     return _walk(tuple(mu), (0,) * len(mu), layers, ctx)
 
 
@@ -617,28 +550,27 @@ def F_star(mu, ctx):
 def F_hom(mu, ctx):
     """Generating sum of the homogeneous queues of type mu: rows 2, ..., L
     stacked on mu, every ball weighing x_c."""
-    contents = row_multisets(sort_desc(mu))
-    layers = [(_hom_steps, values, r)
-              for r, values in enumerate(contents[1:], 2)]
+    layers = [(_hom_steps, values, r) for _, values, r in _classic_rows(mu)]
     return _walk(tuple(mu), _balls(mu), layers, ctx)
 
 
-def Z_star(lam, n, ctx):
-    """Orbit sum of F_star over all arrangements of lam in n columns;
+def _orbit_sum(F, lam, n, ctx):
+    """Sum of F(mu, ctx) over all arrangements mu of lam in n columns;
     ValueError unless lam is a partition of at most n nonzero parts."""
     total = XPoly(n, ctx)
     for mu in arrangements(fit_partition(lam, n)):
-        total = total + F_star(mu, ctx)
+        total = total + F(mu, ctx)
     return total
+
+
+def Z_star(lam, n, ctx):
+    """Orbit sum of F_star over the arrangements of lam in n columns."""
+    return _orbit_sum(F_star, lam, n, ctx)
 
 
 def Z_hom(lam, n, ctx):
-    """Orbit sum of F_hom over all arrangements of lam in n columns;
-    ValueError unless lam is a partition of at most n nonzero parts."""
-    total = XPoly(n, ctx)
-    for mu in arrangements(fit_partition(lam, n)):
-        total = total + F_hom(mu, ctx)
-    return total
+    """Orbit sum of F_hom over the arrangements of lam in n columns."""
+    return _orbit_sum(F_hom, lam, n, ctx)
 
 
 # ---------------------------------------------------------------------------

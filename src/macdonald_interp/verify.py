@@ -263,11 +263,10 @@ def _suite_characterization(b):
         yield _report("characterization", f"mu={_fmt(mu)}", "symbolic", ok)
 
 
-def _rand_poly(n, ctx, rng, laurent=True):
-    lo = -2 if laurent else 0
+def _rand_poly(n, ctx, rng):
     terms = {}
     for _ in range(5):
-        e = tuple(rng.randint(lo, 3) for _ in range(n))
+        e = tuple(rng.randint(-2, 3) for _ in range(n))
         terms[e] = ctx.from_qq(rng.randint(-4, 4))
     return XPoly(n, ctx, terms)
 
@@ -378,23 +377,29 @@ def _signed_indices(max_n, max_size):
             yield alpha
 
 
+def _transition_expansions(family, label, b, size, ctx):
+    """The operator on family(alpha) against the transition-table
+    expansion over family(beta), for every signed alpha and i."""
+    for alpha in _signed_indices(b.max_n, size):
+        n = len(alpha)
+        for i in range(1, n):
+            lhs = hecke_T(family(alpha, ctx), i)
+            rhs = XPoly.zero(n, ctx)
+            for beta, coeff in transition_row(alpha, i, ctx).items():
+                rhs = rhs + family(beta, ctx) * coeff
+            yield _report(
+                "decomposition", f"{label} alpha={_fmt(alpha)} i={i}",
+                "symbolic", lhs == rhs, poly_text(lhs - rhs))
+
+
 def _suite_decomposition(b):
     """Signed-index family: transition-table expansion of the operator
     action, unpacking coefficients against two-row sums, the companion
     family's identical transition law, and the full decomposition."""
     ctx = SYMBOLIC
     size = min(b.max_size, 3)
-    for alpha in _signed_indices(b.max_n, size):
-        n = len(alpha)
-        for i in range(1, n):
-            lhs = hecke_T(extended_f(alpha, ctx), i)
-            rhs = XPoly.zero(n, ctx)
-            for beta, coeff in transition_row(alpha, i, ctx).items():
-                rhs = rhs + extended_f(beta, ctx) * coeff
-            yield _report(
-                "decomposition",
-                f"transition expansion alpha={_fmt(alpha)} i={i}",
-                "symbolic", lhs == rhs, poly_text(lhs - rhs))
+    yield from _transition_expansions(
+        extended_f, "transition expansion", b, size, ctx)
     for mu in _compositions(b.max_n, size):
         table = unpack_coeffs(mu, ctx)
         ok = True
@@ -412,17 +417,8 @@ def _suite_decomposition(b):
         yield _report("decomposition",
                       f"unpacking equals two-row sums mu={_fmt(mu)}",
                       "symbolic", ok, witness)
-    for alpha in _signed_indices(b.max_n, size):
-        n = len(alpha)
-        for i in range(1, n):
-            lhs = hecke_T(h_poly(alpha, ctx), i)
-            rhs = XPoly.zero(n, ctx)
-            for beta, coeff in transition_row(alpha, i, ctx).items():
-                rhs = rhs + h_poly(beta, ctx) * coeff
-            yield _report(
-                "decomposition",
-                f"companion transition alpha={_fmt(alpha)} i={i}",
-                "symbolic", lhs == rhs, poly_text(lhs - rhs))
+    yield from _transition_expansions(
+        h_poly, "companion transition", b, size, ctx)
     for mu in _compositions(b.max_n, size):
         got = general_decomposition_rhs(mu, ctx)
         want = f_star(mu, ctx)
@@ -467,24 +463,16 @@ def _suite_twoline_recursion(b):
 
 def _suite_order_invariance(b):
     """Every queue weighs the same under the placement order and the
-    strand order."""
-    contexts = [SYMBOLIC] if b.max_n >= 2 else []
-    for ctx in contexts:
-        for mu in _compositions(2, b.max_size):
+    strand order: symbolically at n = 2, at seeded points for n >= 3."""
+    runs = [(SYMBOLIC, 2, min(b.max_n, 2))]
+    runs += [(spec, 3, b.max_n) for spec in _points(b, count=2)]
+    for ctx, min_n, max_n in runs:
+        for mu in _compositions(max_n, b.max_size, min_n):
             bad = next(
                 (Q for Q in enumerate_smlq(mu)
                  if Q.weight_parts(ctx) != Q.weight_parts(
                      ctx, order="strand")), None)
             yield _report("order-invariance", f"mu={_fmt(mu)}", _mode(ctx),
-                          bad is None,
-                          queue_text(bad) if bad is not None else None)
-    for spec in _points(b, count=2):
-        for mu in _compositions(b.max_n, b.max_size, min_n=3):
-            bad = next(
-                (Q for Q in enumerate_smlq(mu)
-                 if Q.weight_parts(spec) != Q.weight_parts(
-                     spec, order="strand")), None)
-            yield _report("order-invariance", f"mu={_fmt(mu)}", _mode(spec),
                           bad is None,
                           queue_text(bad) if bad is not None else None)
 

@@ -277,3 +277,12 @@ def test_listing_order_is_pinned():
     assert count == 1334
     assert digest.hexdigest() == (
         "01ca678405d4bb0dda9af1f92d8263da24a39b62f669e344a37a208abdecfbfa")
+
+
+@pytest.mark.parametrize("mu", [(0, 1), (0, 2)])
+def test_unknown_pairing_order_is_rejected(mu):
+    """An unknown order is refused even by queues without a classic layer,
+    such as every queue of type (0,1)."""
+    for Q in enumerate_smlq(mu):
+        with pytest.raises(ValueError, match="unknown pairing order"):
+            Q.weight(SYMBOLIC, order="bogus")
