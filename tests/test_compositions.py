@@ -1,3 +1,5 @@
+import hashlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,3 +242,17 @@ def test_signed_variants():
 
 def test_flip_pair():
     assert flip_pair((1, 2, 3), 2) == (1, -2, -3)
+
+
+WORDS_SHA256 = (
+    "5a063f658acd237166678f057fe1391a8185c888319543a4c2296af450a19deb")
+
+
+def test_swap_words_are_pinned():
+    """The Hecke words of f* and of the unpacking path, one line per
+    composition of size <= 6 in n <= 6 parts, hash to a fixed value."""
+    lines = "".join(
+        f"{mu} {word_from_partition(sort_desc(mu), mu)} {unpack_path(mu)}\n"
+        for n in range(1, 7) for mu in compositions_upto(6, n))
+    assert len(lines.splitlines()) == 1715
+    assert hashlib.sha256(lines.encode()).hexdigest() == WORDS_SHA256
