@@ -2,9 +2,9 @@
 """Scan the hook-scaled (integral) forms over desk-scale partitions.
 
 For each partition and variable count within the bounds, print the hook
-product, the term count of the hook-scaled symmetric polynomial, and
-whether the coefficient-integrality checks pass for the shape and for
-every type rearranging it.
+product c_lam of the ordinary diagram, the term count of the hook-scaled
+symmetric polynomial, and whether the coefficient-integrality checks pass
+for the shape and for every type rearranging it.
 
 Example:
     PYTHONPATH=src python3 scripts/integral_scan.py --max-n 3 --max-size 4
@@ -16,7 +16,7 @@ from macdonald_interp.compositions import arrangements, partitions_upto
 from macdonald_interp.scalars import SYMBOLIC
 from macdonald_interp.tableaux import (
     J_star,
-    hook_product,
+    classical_hook,
     integrality_check,
     integrality_check_asep,
 )
@@ -43,7 +43,7 @@ def main():
                 for mu in arrangements(lam)
             ]
             types = f"{sum(type_results)}/{len(type_results)}"
-            hook = hook_product(lam, n, SYMBOLIC)
+            hook = classical_hook(lam, SYMBOLIC)
             print(f"{str(lam):<14}{n:>3}{len(poly.terms):>7}"
                   f"{'ok' if symmetric_ok else 'FAIL':>11}"
                   f"{types:>7}  {hook}")

@@ -3,8 +3,9 @@
 Compositions are tuples of nonnegative ints (weak compositions); signed
 compositions allow negative entries.  This module has the evaluation-point
 machinery (the spectral vector a composition is tested against), the
-symmetric-group plumbing (shortest permutation sorting a partition onto a
-composition, reduced words), and the statistics and paths of the
+word of adjacent swaps that carries a composition to a rearrangement
+(`swap_word`: the Hecke words from a partition to a composition and from
+a packed composition to its unpacked one), and the statistic of the
 shape-permuting operators.
 """
 
@@ -130,60 +131,35 @@ def tilde_point(mu, ctx):
 
 
 # ---------------------------------------------------------------------------
-# symmetric group plumbing
+# words of adjacent swaps
 # ---------------------------------------------------------------------------
 
 
-def shortest_perm(lam, mu):
-    """The shortest permutation sigma with sigma . lam = mu.
-
-    lam must be the weakly decreasing sort of mu.  Minimal length is
-    achieved by matching the i-th occurrence (left to right) of each part
-    value in lam with its i-th occurrence in mu.
+def swap_word(start, target):
+    """The adjacent swaps that carry `start` to its rearrangement `target`,
+    equal entries keeping their order, as 1-based indices in application
+    order.  Each step swaps the leftmost neighbouring pair whose
+    destinations are out of order, so the word is reduced.  Raises
+    ValueError unless `target` rearranges `start`.
     """
-    if sort_desc(mu) != tuple(lam):
-        raise ValueError("lam must be the decreasing rearrangement of mu")
-    n = len(mu)
-    occ = {}
-    positions = {}
-    for j, v in enumerate(mu):
-        positions.setdefault(v, []).append(j)
-    sigma = [0] * n
-    for i, v in enumerate(lam):
-        k = occ.get(v, 0)
-        occ[v] = k + 1
-        sigma[i] = positions[v][k] + 1
-    return tuple(sigma)
-
-
-def reduced_word(sigma):
-    """A reduced word for sigma, peeling right descents.
-
-    Returns 1-based indices (w_1, ..., w_k) in application order: swapping
-    positions w_1, then w_2, ... of a sorted object rebuilds sigma's
-    arrangement.  As a group element sigma = s_{w_k} ... s_{w_1}; an
-    operator recursion T_{sigma} applies T_{w_1} first.
-    """
-    sig = list(sigma)
+    if sorted(start) != sorted(target):
+        raise ValueError(f"{tuple(target)} does not rearrange {tuple(start)}")
+    slots = {}
+    for j, v in enumerate(target):
+        slots.setdefault(v, []).append(j)
+    dest = [slots[v].pop(0) for v in start]
     word = []
-    n = len(sig)
     while True:
-        desc = next((i for i in range(n - 1) if sig[i] > sig[i + 1]), None)
-        if desc is None:
-            break
-        sig[desc], sig[desc + 1] = sig[desc + 1], sig[desc]
-        word.append(desc + 1)
-    return tuple(word)
-
-
-def word_from_partition(lam, mu):
-    """Reduced word of shortest_perm(lam, mu), as s_i indices to apply in
-    order starting from the polynomial indexed by lam."""
-    return reduced_word(shortest_perm(lam, mu))
+        i = next((i for i in range(len(dest) - 1) if dest[i] > dest[i + 1]),
+                 None)
+        if i is None:
+            return tuple(word)
+        dest[i], dest[i + 1] = dest[i + 1], dest[i]
+        word.append(i + 1)
 
 
 # ---------------------------------------------------------------------------
-# shape-permuting statistics and unpacking paths
+# shape-permuting statistics
 # ---------------------------------------------------------------------------
 
 
@@ -197,31 +173,6 @@ def r_stat(nu, i):
     left = sum(1 for j in range(i - 1) if b < nu[j] <= a)
     right = sum(1 for j in range(i, len(nu)) if b <= nu[j] < a)
     return left + right
-
-
-def unpack_path(mu):
-    """Word of adjacent swaps moving all zero parts of mu to the right.
-
-    Returns (packed_left, word) where word lists s_i indices (1-based)
-    applied in order to packed_left to reach mu.  Each step swaps a
-    positive part into a zero slot immediately to its left, so along the
-    path every swap acts on a (positive, zero) pair.
-    """
-    target = tuple(mu)
-    cur = [m for m in mu if m > 0] + [0] * sum(1 for m in mu if m == 0)
-    start = tuple(cur)
-    word = []
-    # walk each zero leftward to its target, leftmost zero first, so every
-    # crossing is with a positive part.
-    zero_targets = [i for i, m in enumerate(target) if m == 0]
-    k = len(cur) - len(zero_targets)  # leftmost zero in cur
-    for z_i, dst in enumerate(zero_targets):
-        for p in range(k + z_i, dst, -1):
-            cur[p - 1], cur[p] = cur[p], cur[p - 1]
-            word.append(p)
-    if tuple(cur) != target:
-        raise AssertionError("unpack path failed to reach target")
-    return start, tuple(word)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ that unpacks zeros through a composition.
 
 from __future__ import annotations
 
-from .compositions import flip_pair, r_stat, signed_variants, swap_pair, unpack_path
+from .compositions import flip_pair, r_stat, signed_variants, swap_pair, swap_word
 from .xpoly import XPoly
 
 
@@ -40,14 +40,8 @@ def hecke_word(f, word):
     return f
 
 
-def hat_transform(f, d=None):
-    """q^d f(x/q): each term c x^e becomes q^(d-|e|) c x^e.
-
-    Default d is the total degree, making the transform degree-preserving
-    with top part fixed.
-    """
-    if d is None:
-        d = f.degree()
+def hat_transform(f, d):
+    """q^d f(x/q): each term c x^e becomes q^(d-|e|) c x^e."""
     ctx = f.ctx
     return f.map_coeff(lambda e, c: c * ctx.qt(d - sum(e), 0))
 
@@ -130,12 +124,13 @@ def transition_apply(coeffs, i, ctx):
 def unpack_coeffs(mu, ctx):
     """Signed-index expansion coefficients for the composition mu.
 
-    For the left-packed arrangement every sign pattern on the parts gets
-    coefficient 1; moving a zero left through a positive part applies the
+    For the left-packed arrangement (the positive parts of mu, then its
+    zeros) every sign pattern on the parts gets coefficient 1; each swap of
+    the word to mu moves a positive part right past a zero and applies the
     T_i transition matrix.  Returns {alpha: coeff in Z[t]}.
     """
-    start, word = unpack_path(mu)
+    start = tuple(m for m in mu if m) + (0,) * mu.count(0)
     coeffs = {alpha: ctx.one for alpha in signed_variants(start)}
-    for i in word:
+    for i in swap_word(start, mu):
         coeffs = transition_apply(coeffs, i, ctx)
     return coeffs

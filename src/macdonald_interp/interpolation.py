@@ -38,11 +38,11 @@ from .compositions import (
     sort_desc,
     support,
     swap_pair,
+    swap_word,
     tilde_point,
-    word_from_partition,
 )
 from .hecke import hat_transform, hecke_word, shape_permute_star, unpack_coeffs
-from .queues import F_star, Z_star, a_coeff
+from .queues import F_star_sum, a_coeff
 from .xpoly import XPoly
 
 
@@ -217,7 +217,7 @@ def f_star(mu, ctx):
     """ASEP-indexed interpolation polynomial: Hecke word applied to the
     dominant one."""
     lam = sort_desc(mu)
-    return hecke_word(solve_E_star(lam, ctx), word_from_partition(lam, mu))
+    return hecke_word(solve_E_star(lam, ctx), swap_word(lam, mu))
 
 
 def f_hom(mu, ctx):
@@ -311,29 +311,27 @@ def q1_symmetric_product(lam, n, ctx):
     return poly
 
 
-def support_sum_check(lam, S, ctx):
-    """At q = 1 (ctx must specialize q to 1), check that the sum of the
-    queue generating functions over all types with support S and sorted
-    shape lam equals its product form.  The left side goes through the
-    combinatorial sums, whose weights stay regular at q = 1; the spectral
-    points collide there, so the solver route is unavailable."""
-    lam = sort_desc(lam)
-    n = len(lam)
-    S = set(S)
-    total = XPoly.zero(n, ctx)
-    for mu in arrangements(lam):
-        if {i + 1 for i, v in enumerate(mu) if v} == S:
-            total = total + F_star(mu, ctx)
-    return total == q1_sector_product(S, lam, n, ctx)
-
-
-def factorization_q1_check(lam, n, ctx):
-    """At q = 1 (ctx must specialize q to 1), check that the symmetric
+def factorization_q1_checks(lam, n, ctx):
+    """At q = 1 (ctx must specialize q to 1): whether the symmetric
     interpolation polynomial factors into elementary ones over the
-    conjugate column heights.  The left side is the orbit sum of the queue
-    generating functions, whose weights stay regular at q = 1; the spectral
-    points collide there, so the solver route to P* is unavailable."""
-    return Z_star(sort_desc(lam), n, ctx) == q1_symmetric_product(lam, n, ctx)
+    conjugate column heights, and, for each support S (1-based columns, in
+    increasing order), whether the sum over the types of shape lam with
+    support S equals its product form, as (ok, {S: ok}).
+
+    The left sides are queue generating sums, whose weights stay regular at
+    q = 1; the spectral points collide there, so the solver route to P* is
+    unavailable.  Each support's sum is one walk from its types, and the
+    orbit sum is the sum of those."""
+    lam = fit_partition(sort_desc(lam), n)
+    types = {}
+    for mu in arrangements(lam):
+        types.setdefault(tuple(i + 1 for i, v in enumerate(mu) if v),
+                         []).append(mu)
+    sums = {S: F_star_sum(mus, ctx) for S, mus in sorted(types.items())}
+    orbit = sum(sums.values(), XPoly.zero(n, ctx))
+    return orbit == q1_symmetric_product(lam, n, ctx), {
+        S: total == q1_sector_product(set(S), lam, n, ctx)
+        for S, total in sums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +424,10 @@ def packed_recursion_rhs(mu, ctx):
     for i in range(1, k + 1):
         front = front * (XPoly.var(n, ctx, i) - XPoly.const(n, ctx, ctx.qt(0, 1 - n)))
     total = XPoly.zero(n, ctx)
-    qinv = ctx.qt(-1, 0)
     for nu in _two_row_tops(mu):
         c = a_coeff(nu, mu, ctx)
         if not c:
             continue
         numi = minus_one(nu)
-        inner = f_star(numi, ctx).scale_vars(qinv) * ctx.qt(sum(numi), 0)
-        total = total + inner * c
+        total = total + hat_transform(f_star(numi, ctx), d=sum(numi)) * c
     return front * total

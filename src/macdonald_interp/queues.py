@@ -44,10 +44,12 @@ sums F*_mu (`F_star`) and F_mu (`F_hom`) are built row by row, a product of
 transfer matrices indexed by rows: the state maps each top row to the sum
 of the weights of the partial queues below it, and each step multiplies in
 a memoized layer sum over matchings (`signed_layer_sum`,
-`classic_layer_sum`).  The orbit sums Z*_lam and Z_lam add these over the
-arrangements of lam.  No queue is listed or weighed on the way; the
-per-queue enumeration (`enumerate_smlq`, `enumerate_mlq`, `weight_parts`)
-remains for listing, counting and the bijection and order checks.
+`classic_layer_sum`).  A sum over several arrangements of one partition
+(`F_star_sum`, the orbit sums Z*_lam and Z_lam) is one walk from all of
+them: partial queues that reach the same row merge.  No queue is listed
+or weighed on the way; the per-queue enumeration (`enumerate_smlq`,
+`enumerate_mlq`, `weight_parts`) remains for listing, counting and the
+bijection and order checks.
 
 Two-row specializations give scalar transition coefficients: `a_coeff`
 (classic, bottom 1s left unpaired) and `g_coeff` (signed, in Z[t]), the
@@ -340,15 +342,11 @@ class SignedQueue:
         lam = sort_desc([abs(v) for v in self.rows[0] if v])
         strand_of = {}
         tops = [{} for _ in self.rows]
-        # group strands by part size, largest first; within a size, top
-        # balls right to left
         c = 0
         for a in dict.fromkeys(lam):
             top_idx = 2 * a - 1
-            top_cols = sorted(
-                (j for j, v in enumerate(self.rows[top_idx], 1) if abs(v) == a),
-                reverse=True,
-            )
+            top_cols = sorted((j for j, v in enumerate(self.rows[top_idx], 1)
+                               if abs(v) == a), reverse=True)
             for j in top_cols:
                 col = j
                 for idx in range(top_idx, -1, -1):
@@ -507,17 +505,19 @@ def _hom_steps(values, lower, r, ctx):
                  for arr, _, w in _classic_steps(values, lower, r, ctx))
 
 
-def _walk(mu, exps, layers, ctx):
-    """Sum over the chains of rows stacked on bottom row mu.
+def _walk(starts, rows, classic_step, ctx):
+    """Sum over the chains of planned rows stacked on a bottom row.
 
-    Each layer is (step, values, r), and step(values, lower, r, ctx) lists
-    the rows that sit on `lower` with the exponents they add and their
-    weight.  The state maps each top row to {exponents: scalar}, summed
-    over the chains that reach it: a product of transfer matrices indexed
-    by rows.
+    `starts` maps each bottom row to the exponents it adds, and `rows` is a
+    row plan of (primed, values, r).  A step, `_primed_steps` for a primed
+    row and `classic_step` for the others, lists the rows of `values` that
+    sit on `lower` with the exponents they add and their weight.  The state
+    maps each top row to {exponents: scalar}, summed over the chains that
+    reach it: a product of transfer matrices indexed by rows.
     """
-    state = {mu: {exps: ctx.one}}
-    for step, values, r in layers:
+    state = {mu: {exps: ctx.one} for mu, exps in starts.items()}
+    for primed, values, r in rows:
+        step = _primed_steps if primed else classic_step
         groups = {}
         for lower, poly in state.items():
             for upper, step_exps, w in step(values, lower, r, ctx):
@@ -530,7 +530,7 @@ def _walk(mu, exps, layers, ctx):
     for poly in state.values():
         for e, c in poly.items():
             total.setdefault(e, []).append(c)
-    return XPoly(len(mu), ctx, _sums(total, ctx))
+    return XPoly(len(next(iter(starts))), ctx, _sums(total, ctx))
 
 
 def _sums(groups, ctx):
@@ -541,36 +541,35 @@ def _sums(groups, ctx):
 def F_star(mu, ctx):
     """Generating sum of the signed queues of type mu: rows 1', 2, 2', ...,
     L' stacked on mu one at a time."""
-    layers = [(_primed_steps if primed else _classic_steps, values, r)
-              for primed, values, r in _signed_rows(mu)]
-    return _walk(tuple(mu), (0,) * len(mu), layers, ctx)
+    return F_star_sum([tuple(mu)], ctx)
 
 
 @cache
 def F_hom(mu, ctx):
     """Generating sum of the homogeneous queues of type mu: rows 2, ..., L
     stacked on mu, every ball weighing x_c."""
-    layers = [(_hom_steps, values, r) for _, values, r in _classic_rows(mu)]
-    return _walk(tuple(mu), _balls(mu), layers, ctx)
+    return _walk({tuple(mu): _balls(mu)}, _classic_rows(mu), _hom_steps, ctx)
 
 
-def _orbit_sum(F, lam, n, ctx):
-    """Sum of F(mu, ctx) over all arrangements mu of lam in n columns;
-    ValueError unless lam is a partition of at most n nonzero parts."""
-    total = XPoly(n, ctx)
-    for mu in arrangements(fit_partition(lam, n)):
-        total = total + F(mu, ctx)
-    return total
+def F_star_sum(mus, ctx):
+    """Sum of F_star over the types mus, rearrangements of one partition,
+    as one walk from all of them."""
+    return _walk(dict.fromkeys(mus, (0,) * len(mus[0])),
+                 _signed_rows(mus[0]), _classic_steps, ctx)
 
 
 def Z_star(lam, n, ctx):
-    """Orbit sum of F_star over the arrangements of lam in n columns."""
-    return _orbit_sum(F_star, lam, n, ctx)
+    """F_star_sum over the arrangements of lam in n columns; ValueError
+    unless lam is a partition of at most n nonzero parts."""
+    return F_star_sum(arrangements(fit_partition(lam, n)), ctx)
 
 
 def Z_hom(lam, n, ctx):
-    """Orbit sum of F_hom over the arrangements of lam in n columns."""
-    return _orbit_sum(F_hom, lam, n, ctx)
+    """Sum of F_hom over the arrangements of lam in n columns, as one walk
+    from all of them."""
+    mus = arrangements(fit_partition(lam, n))
+    return _walk({mu: _balls(mu) for mu in mus}, _classic_rows(lam),
+                 _hom_steps, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -203,14 +203,6 @@ class QTPoly:
         except ValueError:
             return None
 
-    # -- evaluation --------------------------------------------------------
-
-    def substitute(self, q0, t0):
-        total = QQ(0)
-        for (eq, et), c in self.terms.items():
-            total += c * QQ(q0) ** eq * QQ(t0) ** et
-        return total
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
@@ -522,7 +514,7 @@ class RatQT:
         return _raw(self.num ** k,
                     tuple((key, mult * k) for key, mult in self.factors if k))
 
-    # -- reduction / evaluation --------------------------------------------
+    # -- reduction -----------------------------------------------------------
 
     def reduced(self):
         """Cancel the listed factors that divide the numerator, as a sum
@@ -536,12 +528,6 @@ class RatQT:
         return not self.factors and all(
             eq >= 0 and et >= 0 and c.denominator == 1
             for (eq, et), c in self.num.terms.items())
-
-    def evaluate(self, q0, t0):
-        d = self.den.substitute(q0, t0)
-        if d == 0:
-            raise PoleError(f"denominator vanishes at q={q0}, t={t0}")
-        return self.num.substitute(q0, t0) / d
 
     def __str__(self):
         """num/den over polynomials in q, t with no common monomial factor,

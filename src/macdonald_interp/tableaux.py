@@ -32,19 +32,21 @@ a with mu_a = lam_c.
 rearranged type.  Tableau statistics (wrap counts, coinversion triples,
 label gaps, restricted boxes, leg/arm) recover the queue weight without
 replaying the pairing process, and a regrouped variant produces the
-integral normalization whose coefficients clear denominators.  Its hook
-product depends only on the shape: the multiset of (leg, arm+1) over the
-primed boxes is the same for every filling.  That multiset is collected
-once per (lam, n), with its constancy asserted, and each scalar context
-multiplies its own factors from it.
+integral normalization whose coefficients clear denominators.  That
+normalization scales by Macdonald's hook product c_lam, read off the
+ordinary diagram (`classical_hook`).  On the filled diagram the same
+product is (1 - q^leg t^(arm+1)) over the primed boxes: the arms depend on
+the filling, their product does not, and the `hook constancy` reports
+check it against c_lam for every filling (`filling_hooks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import prod
 
-from .compositions import sort_desc
+from .compositions import is_partition, sort_desc
 from .interpolation import f_star, solve_P_star
 from .queues import SignedQueue
 from .xpoly import XPoly
@@ -514,46 +516,32 @@ def tableaux_sum_typed(mu, ctx):
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _hook_pairs(lam, n):
-    """The sorted (leg, arm+1) pairs over the primed boxes, one tuple for
-    the shape.
+def filling_hooks(lam, n, ctx):
+    """The products of (1 - q^leg t^(arm+1)) over the primed boxes, one per
+    distinct multiset of (leg, arm+1) among the fillings of shape lam.
 
-    The per-box arm depends on the filling, but the multiset of pairs does
-    not; it is read off every tableau of the shape and the agreement is
-    asserted (a mismatch would mean the statistics are broken).
+    The per-box arm depends on the filling, but the product should not:
+    a single value equal to `classical_hook` is what the integral form
+    needs.
     """
-    first = None
-    for t in enumerate_tableaux(lam, n):
-        pairs = tuple(sorted(
-            (leg(t, c, idx), arm(t, c, idx) + 1)
-            for c, idx in t.diagram.boxes() if idx % 2
-        ))
-        if first is None:
-            first, witness = pairs, t
-        elif pairs != first:
-            raise ArithmeticError(
-                f"hook pairs of shape {tuple(lam)} differ between fillings "
-                f"{witness.columns} and {t.columns}: {first} vs {pairs}")
-    return first
-
-
-def hook_product(lam, n, ctx):
-    """Product of (1 - q^leg t^(arm+1)) over the primed boxes."""
-    h = ctx.one
-    for a, b in _hook_pairs(lam, n):
-        h = h * ctx.binom(a, b)
-    return h
+    pairs = {
+        tuple(sorted((leg(t, c, idx), arm(t, c, idx) + 1)
+                     for c, idx in t.diagram.boxes() if idx % 2))
+        for t in enumerate_tableaux(lam, n)
+    }
+    return {prod((ctx.binom(a, b) for a, b in p), start=ctx.one)
+            for p in pairs}
 
 
 def classical_hook(lam, ctx):
-    """Hook product over the ordinary diagram of lam.
+    """Macdonald's hook product c_lam over the ordinary diagram of lam.
 
     One factor (1 - q^arm t^(leg+1)) per cell, with arm counting cells
-    right of it in its row and leg cells below it in its column.  Equality
-    with `hook_product` is pinned by tests; the filling-based route stays
-    the definition."""
+    right of it in its row and leg cells below it in its column.  Raises
+    ValueError unless the nonzero parts of lam weakly decrease."""
     parts = [p for p in lam if p]
+    if not is_partition(parts):
+        raise ValueError(f"shape {tuple(lam)} is not weakly decreasing")
     out = ctx.one
     for r, p in enumerate(parts):
         for c in range(1, p + 1):
@@ -565,7 +553,7 @@ def classical_hook(lam, ctx):
 
 def J_star(lam, n, ctx):
     """The hook-scaled symmetric interpolation polynomial."""
-    return solve_P_star(lam, n, ctx) * hook_product(lam, n, ctx)
+    return solve_P_star(lam, n, ctx) * classical_hook(lam, ctx)
 
 
 def integral_weight(t, ctx):
@@ -610,34 +598,23 @@ def integral_tableaux_sum(lam, n, ctx):
 # ---------------------------------------------------------------------------
 
 
-def _cleared_coefficients(poly, size, n, ctx):
-    """Scale each coefficient of poly by the t-power matching its degree
-    drop below `size`, yielding (exponents, scaled coefficient)."""
-    for exps, coeff in poly.terms.items():
-        drop = size - sum(exps)
-        yield exps, ctx.qt(0, (n - 1) * drop) * coeff
+def _cleared_in_zqt(poly, size, n, ctx):
+    """Whether every coefficient of poly, times t^((n-1) d) where d is its
+    term's degree drop below `size`, is an integer polynomial in q and t."""
+    if not ctx.is_symbolic:
+        raise ValueError("integrality is a symbolic-mode check")
+    return all((ctx.qt(0, (n - 1) * (size - sum(exps))) * c).in_zqt()
+               for exps, c in poly.terms.items())
 
 
 def integrality_check(lam, n, ctx):
     """Whether every cleared coefficient of the hook-scaled symmetric
     polynomial is an integer polynomial in q and t."""
-    if not ctx.is_symbolic:
-        raise ValueError("integrality is a symbolic-mode check")
-    J = J_star(lam, n, ctx)
-    size = sum(lam)
-    return all(
-        c.in_zqt() for _, c in _cleared_coefficients(J, size, n, ctx)
-    )
+    return _cleared_in_zqt(J_star(lam, n, ctx), sum(lam), n, ctx)
 
 
 def integrality_check_asep(mu, ctx):
     """Whether every cleared coefficient of the hook-scaled nonsymmetric
     polynomial is an integer polynomial in q and t."""
-    if not ctx.is_symbolic:
-        raise ValueError("integrality is a symbolic-mode check")
-    n = len(mu)
-    g = f_star(mu, ctx) * hook_product(sort_desc(mu), n, ctx)
-    size = sum(mu)
-    return all(
-        c.in_zqt() for _, c in _cleared_coefficients(g, size, n, ctx)
-    )
+    g = f_star(mu, ctx) * classical_hook(sort_desc(mu), ctx)
+    return _cleared_in_zqt(g, sum(mu), len(mu), ctx)

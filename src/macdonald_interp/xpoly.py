@@ -224,7 +224,7 @@ class XPoly:
                 raise ValueError("linear factor does not divide")
         return XPoly(self.n, ctx, out)
 
-    # -- evaluation / substitution ---------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, point):
         """Value at a full point (tuple of scalars), exact."""
@@ -237,20 +237,6 @@ class XPoly:
                     v = v * x ** k
             vals.append(v)
         return ctx.sum(vals)
-
-    def scale_vars(self, c):
-        """x_j -> c * x_j for every j (c a scalar)."""
-        return XPoly(self.n, self.ctx,
-                     {e: coef * c ** sum(e) for e, coef in self.terms.items()})
-
-    def specialize(self, q0, t0, spec_ctx):
-        """Map a symbolic-coefficient polynomial to the specialized domain."""
-        out = {}
-        for e, c in self.terms.items():
-            v = c.evaluate(q0, t0)
-            if v != 0:
-                out[e] = v
-        return XPoly(self.n, spec_ctx, out)
 
     # -- printing -----------------------------------------------------------
 

@@ -2,17 +2,19 @@
 
 Brute-force orders and permutations, symmetric-polynomial helpers, a dense
 solve of the vanishing conditions, second constructions of E* and of the
-signed-index family, the queue generating sums weighed queue by queue, and
-typed tableaux by filtering all tableaux of a shape.  No package route
-needs them.  Pytest does not collect this module; the test modules import
-it.
+signed-index family, the queue generating sums weighed queue by queue, the
+orbit sums as sums of the per-type queue sums, and typed tableaux by
+filtering all tableaux of a shape.  No package route needs them.  Pytest
+does not collect this module; the test modules import it.
 
 Also here, because only the tests read them: the triangular order
 `comp_lt` and the precedence order `precedes` on compositions; the
 vanishing checks `vanishing_violations`, `triangularity_violations`,
 `symmetric_vanishing_violations` and `extra_vanishing_check`, and
 `E_star_own_value`; and the tableau sums `tableaux_sum` (all tableaux of a
-shape) and `integral_tableaux_sum_typed` (the integral form of one type).
+shape) and `integral_tableaux_sum_typed` (the integral form of one type);
+and `specialize`, the value of a symbolic polynomial or scalar at a
+rational point.
 """
 
 from itertools import permutations
@@ -21,12 +23,13 @@ from macdonald_interp.compositions import (
     absolute,
     arrangements,
     compositions_upto,
+    fit_partition,
     k_stat,
     minus_one,
     partitions_upto,
     sort_desc,
+    swap_word,
     tilde_point,
-    word_from_partition,
 )
 from macdonald_interp.hecke import shape_permute_star
 from macdonald_interp.interpolation import (
@@ -38,6 +41,7 @@ from macdonald_interp.interpolation import (
     wt_sign_monomial,
 )
 from macdonald_interp.queues import a_coeff, enumerate_mlq, enumerate_smlq
+from macdonald_interp.scalars import QQ, PoleError, QTPoly, RatQT
 from macdonald_interp.tableaux import (
     enumerate_tableaux,
     enumerate_tableaux_typed,
@@ -229,7 +233,7 @@ def E_star_via_permute(mu, ctx):
     lam = sort_desc(mu)
     poly = solve_E_star(lam, ctx)
     nu = lam
-    for i in word_from_partition(lam, mu):
+    for i in swap_word(lam, mu):
         poly, nu = shape_permute_star(poly, nu, i)
     if nu != mu:
         raise AssertionError(f"permutation chain landed on {nu}, wanted {mu}")
@@ -342,6 +346,15 @@ def F_hom_by_queues(mu, ctx):
     return _queue_sum(enumerate_mlq(mu), len(mu), ctx)
 
 
+def orbit_sum(F, lam, n, ctx):
+    """``queues.Z_star`` (F = ``F_star``) or ``Z_hom`` (F = ``F_hom``) as
+    the sum of F(mu, ctx) over the arrangements mu of lam in n columns."""
+    total = XPoly(n, ctx)
+    for mu in arrangements(fit_partition(lam, n)):
+        total = total + F(mu, ctx)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # tableau sums
 # ---------------------------------------------------------------------------
@@ -368,3 +381,28 @@ def integral_tableaux_sum_typed(mu, ctx):
     for t in enumerate_tableaux_typed(sort_desc(mu), mu):
         total = total + integral_term(t, ctx)
     return total
+
+
+# ---------------------------------------------------------------------------
+# specialization of symbolic values
+# ---------------------------------------------------------------------------
+
+
+def specialize(x, q0, t0, ctx=None):
+    """The value of a symbolic x at q = q0, t = t0.
+
+    A ``QTPoly`` or ``RatQT`` gives a rational (``PoleError`` when the
+    denominator vanishes); an ``XPoly`` gives the polynomial over the
+    specialized context ``ctx``, its coefficients specialized.
+    """
+    if isinstance(x, XPoly):
+        return XPoly(x.n, ctx, {e: specialize(c, q0, t0)
+                                for e, c in x.terms.items()})
+    if isinstance(x, RatQT):
+        d = specialize(x.den, q0, t0)
+        if d == 0:
+            raise PoleError(f"denominator vanishes at q={q0}, t={t0}")
+        return specialize(x.num, q0, t0) / d
+    assert isinstance(x, QTPoly)
+    return sum((c * QQ(q0) ** eq * QQ(t0) ** et
+                for (eq, et), c in x.terms.items()), QQ(0))

@@ -1,5 +1,6 @@
 import hashlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,14 +18,11 @@ from macdonald_interp.compositions import (
     partitions_of,
     partitions_upto,
     r_stat,
-    reduced_word,
-    shortest_perm,
     signed_variants,
     sort_desc,
     support,
+    swap_word,
     tilde_point,
-    unpack_path,
-    word_from_partition,
 )
 from macdonald_interp.scalars import SYMBOLIC, RatQT
 
@@ -127,40 +125,49 @@ def test_perm_act_and_inverse():
     assert perm_act(sigma, lam) == (3, 4, 1, 4, 3)
 
 
-def test_shortest_perm_example():
+def test_swap_word_example():
     lam = (4, 4, 3, 3, 1)
     mu = (3, 4, 1, 4, 3)
-    sigma = shortest_perm(lam, mu)
-    assert sigma == (2, 4, 1, 5, 3)
-    assert perm_act(sigma, lam) == mu
+    word = swap_word(lam, mu)
+    # the shortest permutation carrying lam to mu, equal parts in order
+    assert perm_act((2, 4, 1, 5, 3), lam) == mu
+    assert len(word) == perm_length((2, 4, 1, 5, 3))
+    assert apply_word_to_comp(lam, word) == mu
 
 
 @settings(max_examples=80, deadline=None)
 @given(comps)
-def test_shortest_perm_is_shortest(mu):
-    """shortest_perm has minimal inversion count among all sigma with
-    sigma . lam = mu."""
+def test_swap_word_is_shortest(mu):
+    """swap_word has minimal length among all sigma with sigma . lam = mu,
+    and so does it from any arrangement of mu."""
     from itertools import permutations
 
-    lam = sort_desc(mu)
-    sigma = shortest_perm(lam, mu)
-    assert perm_act(sigma, lam) == mu
-    if len(mu) <= 4:
-        best = min(
-            perm_length(p)
-            for p in permutations(range(1, len(mu) + 1))
-            if perm_act(p, lam) == mu
-        )
-        assert perm_length(sigma) == best
+    for start in (sort_desc(mu), tuple(reversed(mu))):
+        word = swap_word(start, mu)
+        assert apply_word_to_comp(start, word) == mu
+        if len(mu) <= 4:
+            best = min(
+                perm_length(p)
+                for p in permutations(range(1, len(mu) + 1))
+                if perm_act(p, start) == mu
+            )
+            assert len(word) == best
+
+
+def test_swap_word_rejects_non_rearrangement():
+    with pytest.raises(ValueError, match="does not rearrange"):
+        swap_word((2, 1, 0), (2, 2, 0))
+    with pytest.raises(ValueError):
+        swap_word((1, 0), (1, 0, 0))
 
 
 def test_reduced_word_order_convention():
     # lam=(2,0) -> mu=(0,2) is the single swap s_1
-    assert word_from_partition((2, 0), (0, 2)) == (1,)
+    assert swap_word((2, 0), (0, 2)) == (1,)
     lam = (4, 4, 3, 3, 1)
     mu = (3, 4, 1, 4, 3)
-    word = word_from_partition(lam, mu)
-    assert len(word) == perm_length(shortest_perm(lam, mu))
+    word = swap_word(lam, mu)
+    assert word == (2, 1, 4, 3)
     assert apply_word_to_comp(lam, word) == mu
 
 
@@ -169,17 +176,16 @@ def test_reduced_word_order_convention():
 def test_word_rebuilds_composition(mu):
     """The word moves lam to mu, swapping a strict descent at every step."""
     lam = sort_desc(mu)
-    word = word_from_partition(lam, mu)
-    assert len(word) == perm_length(shortest_perm(lam, mu))
     cur = list(lam)
-    for i in word:
+    for i in swap_word(lam, mu):
         assert cur[i - 1] > cur[i]
         cur[i - 1], cur[i] = cur[i], cur[i - 1]
     assert tuple(cur) == mu
 
 
 def test_reduced_word_of_identity():
-    assert reduced_word((1, 2, 3)) == ()
+    assert swap_word((1, 2, 3), (1, 2, 3)) == ()
+    assert swap_word((2, 2, 0), (2, 2, 0)) == ()
 
 
 def test_precedes_examples():
@@ -210,11 +216,17 @@ def test_r_stat():
     assert r_stat((3, 3, 2, 1), 2) == 2  # left entry 3 falls in (2, 3]
 
 
+def packed(mu):
+    """The positive parts of mu, then its zeros: where unpacking starts."""
+    return tuple(m for m in mu if m) + (0,) * mu.count(0)
+
+
 def test_unpack_path_examples():
-    start, word = unpack_path((0, 3, 0, 1))
+    start = packed((0, 3, 0, 1))
     assert start == (3, 1, 0, 0)
+    word = swap_word(start, (0, 3, 0, 1))
     assert apply_word_to_comp(start, word) == (0, 3, 0, 1)
-    # each step swaps a positive part leftward into a zero
+    # each step swaps a positive part rightward past a zero
     cur = list(start)
     for i in word:
         assert cur[i - 1] > 0 and cur[i] == 0
@@ -224,10 +236,9 @@ def test_unpack_path_examples():
 @settings(max_examples=80, deadline=None)
 @given(comps)
 def test_unpack_path_property(mu):
-    start, word = unpack_path(mu)
-    assert start == tuple([m for m in mu if m > 0] + [0] * mu.count(0))
+    start = packed(mu)
     cur = list(start)
-    for i in word:
+    for i in swap_word(start, mu):
         assert cur[i - 1] > 0 and cur[i] == 0
         cur[i - 1], cur[i] = cur[i], cur[i - 1]
     assert tuple(cur) == mu
@@ -252,7 +263,8 @@ def test_swap_words_are_pinned():
     """The Hecke words of f* and of the unpacking path, one line per
     composition of size <= 6 in n <= 6 parts, hash to a fixed value."""
     lines = "".join(
-        f"{mu} {word_from_partition(sort_desc(mu), mu)} {unpack_path(mu)}\n"
+        f"{mu} {swap_word(sort_desc(mu), mu)} "
+        f"{(packed(mu), swap_word(packed(mu), mu))}\n"
         for n in range(1, 7) for mu in compositions_upto(6, n))
     assert len(lines.splitlines()) == 1715
     assert hashlib.sha256(lines.encode()).hexdigest() == WORDS_SHA256

@@ -83,13 +83,13 @@ def test_hat_transform():
     ctx = SYMBOLIC
     x1 = XPoly.var(2, ctx, 1)
     f = x1 ** 2 + x1 + 1  # degree 2
-    g = hat_transform(f)
+    g = hat_transform(f, 2)
     assert g.coefficient((2, 0)) == ctx.one
     assert g.coefficient((1, 0)) == ctx.qt(1, 0)
     assert g.coefficient((0, 0)) == ctx.qt(2, 0)
-    # explicit d overrides the degree default
-    h = hat_transform(f, d=3)
+    h = hat_transform(f, 3)
     assert h.coefficient((2, 0)) == ctx.qt(1, 0)
+    assert h.coefficient((0, 0)) == ctx.qt(3, 0)
 
 
 signed_entries = st.integers(-3, 3)

@@ -21,7 +21,7 @@ from macdonald_interp.interpolation import (
     extended_f,
     f_hom,
     f_star,
-    factorization_q1_check,
+    factorization_q1_checks,
     general_decomposition_rhs,
     h_poly,
     packed_recursion_rhs,
@@ -29,7 +29,6 @@ from macdonald_interp.interpolation import (
     q1_symmetric_product,
     solve_square,
     support_product,
-    support_sum_check,
     verify_characterization,
     zero_one_f_star,
 )
@@ -51,6 +50,7 @@ from oracles import (
     extra_vanishing_check,
     is_symmetric,
     solve_E_star_dense,
+    specialize,
     symmetric_vanishing_violations,
     triangularity_violations,
     vanishing_violations,
@@ -178,7 +178,7 @@ def test_E_star_extra_vanishing():
 def test_E_star_specialized_matches_symbolic():
     ctx = specialized(11, 4)
     for mu in [(0, 1), (2, 0), (1, 0, 1)]:
-        sym_poly = E_star(mu, sym()).specialize(ctx.q0, ctx.t0, ctx)
+        sym_poly = specialize(E_star(mu, sym()), ctx.q0, ctx.t0, ctx)
         assert sym_poly == E_star(mu, ctx)
 
 
@@ -391,16 +391,18 @@ def test_zero_one_types_factor(mu):
 def test_q1_support_sum():
     t0 = random_point(3, 4)[1]
     ctx = SpecializedScalars(1, t0)
-    for lam, S in [((2, 0), {1}), ((2, 0), {2}), ((2, 1), {1, 2})]:
-        assert support_sum_check(lam, S, ctx)
+    for lam, S in [((2, 0), (1,)), ((2, 0), (2,)), ((2, 1), (1, 2))]:
+        assert factorization_q1_checks(lam, 2, ctx)[1][S]
+    assert list(factorization_q1_checks((2, 1), 3, ctx)[1]) == [
+        (1, 2), (1, 3), (2, 3)]
 
 
 def test_q1_symmetric_factorization():
     t0 = random_point(7, 4)[1]
     ctx = SpecializedScalars(1, t0)
-    assert factorization_q1_check((2,), 2, ctx)
-    assert factorization_q1_check((1, 1), 2, ctx)
-    assert factorization_q1_check((2, 1), 2, ctx)
+    assert factorization_q1_checks((2,), 2, ctx)[0]
+    assert factorization_q1_checks((1, 1), 2, ctx)[0]
+    assert factorization_q1_checks((2, 1), 2, ctx)[0]
 
 
 def test_q1_sector_product_is_orbit_refinement():

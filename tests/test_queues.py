@@ -11,6 +11,7 @@ from macdonald_interp.interpolation import solve_P_star
 from macdonald_interp.queues import (
     F_hom,
     F_star,
+    F_star_sum,
     Z_hom,
     Z_star,
     a_coeff,
@@ -27,7 +28,13 @@ from macdonald_interp.scalars import (
     QQ, SYMBOLIC, SpecializedScalars, specialized)
 from macdonald_interp.xpoly import XPoly
 
-from oracles import F_hom_by_queues, F_star_by_queues, is_symmetric
+from oracles import (
+    F_hom_by_queues,
+    F_star_by_queues,
+    is_symmetric,
+    orbit_sum,
+    specialize,
+)
 
 
 def sym_x(i, n=2):
@@ -100,7 +107,7 @@ def test_f_hom_is_top_part_of_f_star():
 def test_specialized_matches_symbolic():
     spec = specialized(17, 3)
     for mu in [(0, 2), (1, 0, 2)]:
-        sym = F_star(mu, SYMBOLIC).specialize(spec.q0, spec.t0, spec)
+        sym = specialize(F_star(mu, SYMBOLIC), spec.q0, spec.t0, spec)
         assert sym == F_star(mu, spec)
 
 
@@ -171,6 +178,22 @@ def test_orbit_sums_are_symmetric():
     zh = Z_hom((2, 1), 3, SYMBOLIC)
     assert is_symmetric(zh)
     assert zs.top_part() == zh
+
+
+@pytest.mark.parametrize("ctx", [SYMBOLIC, specialized(5, 4)],
+                         ids=["symbolic", "seeded"])
+def test_orbit_sums_walk_equals_sum_over_types(ctx):
+    """One walk from several arrangements (every one for Z* and Z, two for
+    F_star_sum) gives the sum of the per-type walks, to the printed
+    bytes."""
+    for lam, n in [((2,), 2), ((2, 1), 3), ((3, 1), 3), ((1, 1), 4),
+                   ((2, 1), 4), ((2, 2), 4)]:
+        for Z, F in ((Z_star, F_star), (Z_hom, F_hom)):
+            got, want = Z(lam, n, ctx), orbit_sum(F, lam, n, ctx)
+            assert got == want and poly_text(got) == poly_text(want)
+    mus = [(0, 1, 2), (0, 2, 1)]
+    got, want = F_star_sum(mus, ctx), F_star(mus[0], ctx) + F_star(mus[1], ctx)
+    assert got == want and poly_text(got) == poly_text(want)
 
 
 def test_order_invariance_per_queue():

@@ -22,6 +22,8 @@ from macdonald_interp.scalars import (
     specialized,
 )
 
+from oracles import specialize
+
 
 def qt(a, b, c=1):
     return QTPoly.monomial(a, b, c)
@@ -44,7 +46,7 @@ def test_qtpoly_laurent_shift():
 
 def test_qtpoly_substitute():
     p = QTPoly.binomial(2, 1)  # 1 - q^2 t
-    assert p.substitute(QQ(1, 2), QQ(3)) == 1 - QQ(1, 4) * 3
+    assert specialize(p, QQ(1, 2), QQ(3)) == 1 - QQ(1, 4) * 3
 
 
 def test_exact_div_roundtrip():
@@ -129,8 +131,8 @@ def test_ratqt_arithmetic_matches_specialization():
         a = RatQT(a_n, a_d)
         b = RatQT(b_n, b_d)
         for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
-            lhs = op(a, b).evaluate(q0, t0)
-            rhs = op(a.evaluate(q0, t0), b.evaluate(q0, t0))
+            lhs = specialize(op(a, b), q0, t0)
+            rhs = op(specialize(a, q0, t0), specialize(b, q0, t0))
             assert lhs == rhs
 
 
@@ -205,7 +207,7 @@ def test_opaque_divisor_is_counted_and_cancels():
 def test_pole_error():
     r = RatQT(QT_ONE, QTPoly.binomial(1, 1))
     with pytest.raises(PoleError):
-        r.evaluate(QQ(1, 2), QQ(2))
+        specialize(r, QQ(1, 2), QQ(2))
 
 
 def test_rq_sum_telescoping():
@@ -221,7 +223,8 @@ def test_rq_sum_mixed_denominators():
     b = RatQT(QT_ONE, QTPoly.binomial(0, 1))
     s = rq_sum([a, b])
     q0, t0 = QQ(1, 2), QQ(1, 3)
-    assert s.evaluate(q0, t0) == a.evaluate(q0, t0) + b.evaluate(q0, t0)
+    assert specialize(s, q0, t0) == (
+        specialize(a, q0, t0) + specialize(b, q0, t0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,8 +239,8 @@ def test_rq_sum_matches_naive(data):
     ]
     s = rq_sum(items)
     q0, t0 = QQ(2, 3), QQ(5, 2)
-    expect = sum((r.evaluate(q0, t0) for r in items), QQ(0))
-    assert s.evaluate(q0, t0) == expect
+    expect = sum((specialize(r, q0, t0) for r in items), QQ(0))
+    assert specialize(s, q0, t0) == expect
 
 
 def test_symbolic_context():
@@ -261,7 +264,7 @@ def test_specialized_context_matches_symbolic():
     spec = specialized(3, 4)
     expr_sym = sym.binom(2, 1) * sym.qt(1, -3) + sym.from_qq(QQ(2, 7))
     expr_spec = spec.binom(2, 1) * spec.qt(1, -3) + spec.from_qq(QQ(2, 7))
-    assert expr_sym.evaluate(spec.q0, spec.t0) == expr_spec
+    assert specialize(expr_sym, spec.q0, spec.t0) == expr_spec
 
 
 def test_specialized_binom_pole_guard():

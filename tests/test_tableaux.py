@@ -20,8 +20,8 @@ from macdonald_interp.tableaux import (
     empty_count,
     enumerate_tableaux,
     enumerate_tableaux_typed,
+    filling_hooks,
     filling_violations,
-    hook_product,
     integral_tableaux_sum,
     integral_term,
     integral_weight,
@@ -37,11 +37,12 @@ from macdonald_interp.tableaux import (
     tableau_weight,
     tableaux_sum_typed,
 )
-from macdonald_interp.verify import figure_queue, figure_weight
+from macdonald_interp.verify import figure_queue, figure_weight, run_suites
 from macdonald_interp.xpoly import XPoly
 
 from oracles import (
     integral_tableaux_sum_typed,
+    specialize,
     tableaux_of_type_by_filter,
     tableaux_sum,
 )
@@ -284,8 +285,8 @@ def test_shape_sums_match_symmetric_interpolation():
 def test_typed_sum_specializations_agree(seed):
     spec = specialized(seed, 4)
     for mu in [(2, 0), (1, 1)]:
-        sym = tableaux_sum_typed(mu, SYMBOLIC).specialize(
-            spec.q0, spec.t0, spec)
+        sym = specialize(tableaux_sum_typed(mu, SYMBOLIC),
+                         spec.q0, spec.t0, spec)
         assert sym == tableaux_sum_typed(mu, spec)
 
 
@@ -294,34 +295,38 @@ def test_typed_sum_specializations_agree(seed):
 # ---------------------------------------------------------------------------
 
 
-def test_hook_product_is_filling_independent_and_classical():
+def test_filling_hooks_are_classical():
     ctx = SYMBOLIC
     for lam, n in [((1,), 2), ((2,), 2), ((1, 1), 2), ((2, 1), 2),
                    ((2,), 3), ((3,), 2), ((2, 2), 2), ((1, 1), 3),
                    ((2, 2), 3), ((1, 1, 1), 3)]:
-        assert hook_product(lam, n, ctx) == classical_hook(lam, ctx)
-    assert hook_product((), 2, ctx) == ctx.one
+        assert filling_hooks(lam, n, ctx) == {classical_hook(lam, ctx)}
+    assert filling_hooks((), 2, ctx) == {ctx.one}
 
 
-def test_hook_product_rejects_filling_dependent_pairs(monkeypatch):
-    # an arm that reads the entries breaks constancy: the error names the
-    # shape and nothing is cached for it
-    tableaux._hook_pairs.cache_clear()
+def test_hook_constancy_fails_on_filling_dependent_arms(monkeypatch):
+    # an arm that reads the entries makes the product depend on the
+    # filling: the constancy report fails and lists the products
     monkeypatch.setattr(
         tableaux, "arm", lambda t, c, idx: abs(t.entry(c, idx)))
-    try:
-        with pytest.raises(ArithmeticError, match=r"shape \(1,\)"):
-            hook_product((1,), 2, SYMBOLIC)
-        assert tableaux._hook_pairs.cache_info().currsize == 0
-    finally:
-        tableaux._hook_pairs.cache_clear()
+    assert len(filling_hooks((1,), 2, SYMBOLIC)) == 2
+    report = next(r for r in run_suites("integral-form", 2, 1)
+                  if r.instance == "hook constancy lambda=(1,0) n=2")
+    assert not report.ok
+
+
+def test_classical_hook_rejects_non_partitions():
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        classical_hook((1, 2), SYMBOLIC)
+    assert classical_hook((2, 0, 1), SYMBOLIC) == \
+        classical_hook((2, 1), SYMBOLIC)
 
 
 def test_integral_weight_is_hook_times_weight():
     ctx = SYMBOLIC
     for mu in [(0, 2), (1, 1), (2, 1), (0, 1, 1), (0, 2, 2)]:
         lam = sort_desc(mu)
-        h = hook_product(lam, len(mu), ctx)
+        h = classical_hook(lam, ctx)
         for t in enumerate_tableaux_typed(lam, mu):
             assert integral_weight(t, ctx) == h * tableau_weight(t, ctx)
             assert integral_term(t, ctx) == \
@@ -333,7 +338,7 @@ def test_integral_sums_match_hook_scaled_polynomials():
     for lam, n in [((2,), 2), ((1, 1), 2), ((2, 1), 2), ((2,), 3)]:
         assert integral_tableaux_sum(lam, n, ctx) == J_star(lam, n, ctx)
     for mu in [(0, 2), (1, 1), (2, 1)]:
-        want = f_star(mu, ctx) * hook_product(sort_desc(mu), len(mu), ctx)
+        want = f_star(mu, ctx) * classical_hook(sort_desc(mu), ctx)
         assert integral_tableaux_sum_typed(mu, ctx) == want
 
 

@@ -6,7 +6,7 @@ from macdonald_interp.scalars import (
     QQ, SYMBOLIC, RatQT, SpecializedScalars, specialized)
 from macdonald_interp.xpoly import XPoly
 
-from oracles import is_symmetric, monomial_symmetric, swap
+from oracles import is_symmetric, monomial_symmetric, specialize, swap
 
 SPEC = SpecializedScalars(QQ(2, 3), QQ(5, 7))
 
@@ -102,20 +102,13 @@ def test_evaluate_and_substitute():
     assert v == 2 + 4
 
 
-def test_scale_vars():
-    x1 = xv(1)
-    p = x1 ** 2 + x1 + 1
-    s = p.scale_vars(QQ(1, 2))
-    assert s == QQ(1, 4) * x1 ** 2 + QQ(1, 2) * x1 + 1
-
-
 def test_symbolic_coefficients_roundtrip():
     spec = specialized(9, 3)
     q0, t0 = spec.q0, spec.t0
     x1 = XPoly.var(2, SYMBOLIC, 1)
     x2 = XPoly.var(2, SYMBOLIC, 2)
     p = SYMBOLIC.qt(1, -1) * x1 + SYMBOLIC.binom(1, 1) * x2 ** 2
-    ps = p.specialize(q0, t0, spec)
+    ps = specialize(p, q0, t0, spec)
     assert ps.coefficient((1, 0)) == q0 / t0
     assert ps.coefficient((0, 2)) == 1 - q0 * t0
 
